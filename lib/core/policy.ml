@@ -1,4 +1,5 @@
 open Switchsim
+module Bits = Matrix.Bits
 
 type stepper = {
   next_slot : Simulator.t -> Simulator.transfer list;
@@ -37,164 +38,147 @@ let stateless ~describe next_slot =
    its own free-port bitsets and (when oversubscribed) its own core
    budget, and the same (coflow, src, dst) entry is never claimed on two
    fabrics in one slot.  On [Net.single] this is exactly the classic
-   single-switch sweep. *)
-exception Saturated
+   single-switch sweep.
 
+   The scan claims at most one pair per (coflow, src) row per fabric — a
+   claimed source blocks the rest of its row — and works wholesale on
+   bitset words: a coflow's candidate sources are [live land free_src]
+   (one [land] per word covers 62 ports), and a row's first usable
+   destination is the lowest set bit of [support.(i) land free_dst],
+   restricted to the source's rack when the fabric's core budget is spent
+   (rack-local pairs stay admissible after the core fills — the budget
+   can never starve them).  Lowest-bit iteration is exactly ascending row
+   / ascending column order, so the result is the very matching the
+   naive entry-by-entry greedy scan produces.  Once every src (or every
+   dst) of a fabric is claimed no later coflow can add a transfer there
+   and the scan moves to the next fabric.
+
+   Per call the kernel allocates its bitsets, one [claim] helper and the
+   transfer list; per coflow and per candidate it allocates nothing: the
+   loops are plain [while] loops over the simulator's read-only bitset
+   arrays, fetched once per coflow. *)
 let greedy_matching ?(init = []) sim ~priority =
   let m = Simulator.ports sim in
   let net = Simulator.net sim in
   let kf = Simulator.num_fabrics sim in
-  let words = Matrix.Bits.words_for m in
-  let bpw = Matrix.Bits.bits_per_word in
+  let words = Bits.words_for m and bpw = Bits.bits_per_word in
   (* free ports as bitsets: word w starts with every valid bit set;
      fabric f's word w lives at [f * words + w] *)
-  let free_word w = Matrix.Bits.low_mask (min bpw (m - (w * bpw))) in
-  let free_src = Array.init (kf * words) (fun i -> free_word (i mod words)) in
-  let free_dst = Array.init (kf * words) (fun i -> free_word (i mod words)) in
+  let free_src = Array.make (kf * words) 0 in
+  for x = 0 to (kf * words) - 1 do
+    free_src.(x) <- Bits.low_mask (min bpw (m - (x mod words * bpw)))
+  done;
+  let free_dst = Array.copy free_src in
   let n_src = Array.make kf 0 and n_dst = Array.make kf 0 in
   (* per-fabric inter-rack budget; [max_int] marks a non-blocking fabric *)
-  let core_left =
-    Array.init kf (fun f ->
-        match Net.core_capacity net f with None -> max_int | Some c -> c)
-  in
-  (* cross-fabric dedupe of (coflow, src, dst); only needed when k > 1 *)
-  let taken = if kf > 1 then Some (Hashtbl.create 64) else None in
-  let claim_src f i =
-    let w = (f * words) + Matrix.Bits.word_of i in
-    free_src.(w) <- free_src.(w) land lnot (1 lsl Matrix.Bits.bit_of i);
-    n_src.(f) <- n_src.(f) + 1
-  and claim_dst f j =
-    let w = (f * words) + Matrix.Bits.word_of j in
-    free_dst.(w) <- free_dst.(w) land lnot (1 lsl Matrix.Bits.bit_of j);
-    n_dst.(f) <- n_dst.(f) + 1
+  let core_left = Array.make kf max_int in
+  for f = 0 to kf - 1 do
+    match Net.core_capacity net f with
+    | None -> ()
+    | Some c -> core_left.(f) <- c
+  done;
+  (* cross-fabric dedupe, only needed when k > 1: the (coflow, dst) each
+     claimed (fabric, src) serves.  An entry (k, i, j) already claimed on
+     some fabric holds src i there, so probing i on the k fabrics finds
+     it. *)
+  let pair_coflow = Array.make (if kf > 1 then kf * m else 0) (-1) in
+  let pair_dst = Array.make (if kf > 1 then kf * m else 0) (-1) in
+  let claim f i j k =
+    let x = (f * words) + Bits.word_of i and b = 1 lsl Bits.bit_of i in
+    if free_src.(x) land b <> 0 then begin
+      free_src.(x) <- free_src.(x) lxor b;
+      n_src.(f) <- n_src.(f) + 1;
+      if kf > 1 then begin
+        pair_coflow.((f * m) + i) <- k;
+        pair_dst.((f * m) + i) <- j
+      end
+    end;
+    let x = (f * words) + Bits.word_of j and b = 1 lsl Bits.bit_of j in
+    if free_dst.(x) land b <> 0 then begin
+      free_dst.(x) <- free_dst.(x) lxor b;
+      n_dst.(f) <- n_dst.(f) + 1
+    end;
+    if core_left.(f) <> max_int && Net.crosses_core net ~fabric:f ~src:i ~dst:j
+    then core_left.(f) <- core_left.(f) - 1
   in
   List.iter
-    (fun { Simulator.src; dst; coflow; fabric = f } ->
-      if
-        free_src.((f * words) + Matrix.Bits.word_of src)
-        land (1 lsl Matrix.Bits.bit_of src)
-        <> 0
-      then claim_src f src;
-      if
-        free_dst.((f * words) + Matrix.Bits.word_of dst)
-        land (1 lsl Matrix.Bits.bit_of dst)
-        <> 0
-      then claim_dst f dst;
-      if
-        core_left.(f) <> max_int
-        && Net.crosses_core net ~fabric:f ~src ~dst
-      then core_left.(f) <- core_left.(f) - 1;
-      match taken with
-      | Some tbl -> Hashtbl.replace tbl (coflow, src, dst) ()
-      | None -> ())
+    (fun { Simulator.src; dst; coflow; fabric } -> claim fabric src dst coflow)
     init;
   let transfers = ref init in
-  (* The scan claims at most one pair per (coflow, src) row per fabric —
-     a claimed source blocks the rest of its row — and works wholesale on
-     bitset words: a coflow's candidate sources are
-     [live_rows land free_src] (one [land] per word covers 62 ports), and
-     a row's first usable destination is the lowest set bit of
-     [row_support land free_dst], restricted to the source's rack when
-     the fabric's core budget is spent (rack-local pairs stay admissible
-     after the core fills — the budget can never starve them).
-     Lowest-bit iteration is exactly ascending row / ascending column
-     order, so the result is the very matching the naive entry-by-entry
-     greedy scan produces.  Once every src (or every dst) of a fabric is
-     claimed no later coflow can add a transfer there and the scan moves
-     to the next fabric — at scale the head of the priority order
-     saturates each fabric and the long tail is never touched. *)
-  Array.iter
-    (fun f ->
-      let fw = f * words in
-      try
-        Array.iter
-          (fun k ->
-            if n_src.(f) = m || n_dst.(f) = m then raise Saturated;
-            if Simulator.released sim k && not (Simulator.is_complete sim k)
-            then
-              for w = 0 to words - 1 do
-                (* candidate srcs: rows with demand whose port is free.
-                   Claims inside this word only ever clear the bit being
-                   iterated, so the snapshot stays valid. *)
-                let cand =
-                  ref
-                    (Simulator.remaining_live_mask sim k w
-                    land free_src.(fw + w))
-                in
-                while !cand <> 0 do
-                  let b = !cand land - !cand in
-                  cand := !cand land lnot b;
-                  let i = (w * bpw) + Matrix.Bits.ntz b in
-                  (* admissible dst range: the whole row, or the source's
-                     rack once this fabric's core budget is exhausted *)
-                  let lo, hi =
-                    if core_left.(f) > 0 then (0, m)
-                    else
-                      match (Net.fabric_of net f).Net.rack_size with
-                      | None -> (0, m)
-                      | Some rs ->
-                        let r = i / rs in
-                        (r * rs, min m ((r + 1) * rs))
-                  in
-                  let range_mask w2 =
-                    let base = w2 * bpw in
-                    if hi <= base || lo >= base + bpw then 0
-                    else
-                      (if hi - base >= bpw then -1
-                       else Matrix.Bits.low_mask (hi - base))
-                      land lnot
-                            (if lo <= base then 0
-                             else Matrix.Bits.low_mask (lo - base))
-                  in
-                  let claimed = ref false in
-                  let rec row_scan w2 =
-                    if (not !claimed) && w2 < words then begin
-                      let rb =
-                        ref
-                          (Simulator.remaining_row_mask sim k i w2
-                          land free_dst.(fw + w2)
-                          land range_mask w2)
-                      in
-                      while (not !claimed) && !rb <> 0 do
-                        let db = !rb land - !rb in
-                        rb := !rb land lnot db;
-                        let j = (w2 * bpw) + Matrix.Bits.ntz db in
-                        let dup =
-                          match taken with
-                          | Some tbl -> Hashtbl.mem tbl (k, i, j)
-                          | None -> false
-                        in
-                        if not dup then begin
-                          claim_src f i;
-                          claim_dst f j;
-                          if
-                            core_left.(f) <> max_int
-                            && Net.crosses_core net ~fabric:f ~src:i ~dst:j
-                          then core_left.(f) <- core_left.(f) - 1;
-                          (match taken with
-                          | Some tbl -> Hashtbl.replace tbl (k, i, j) ()
-                          | None -> ());
-                          transfers :=
-                            { Simulator.src = i;
-                              dst = j;
-                              coflow = k;
-                              fabric = f;
-                            }
-                            :: !transfers;
-                          claimed := true;
-                          if n_src.(f) = m || n_dst.(f) = m then
-                            raise Saturated
-                        end
-                      done;
-                      row_scan (w2 + 1)
-                    end
-                  in
-                  row_scan 0
-                done
-              done)
-          priority
-      with Saturated -> ())
-    (Net.by_rate net);
+  let order = Net.by_rate net in
+  let np = Array.length priority in
+  for oi = 0 to kf - 1 do
+    let f = order.(oi) in
+    let fw = f * words in
+    let rack =
+      match (Net.fabric_of net f).Net.rack_size with None -> 0 | Some rs -> rs
+    in
+    let p = ref 0 in
+    while !p < np && n_src.(f) < m && n_dst.(f) < m do
+      let k = priority.(!p) in
+      incr p;
+      if Simulator.released sim k && not (Simulator.is_complete sim k) then begin
+        let live = Simulator.remaining_live_words sim k
+        and support = Simulator.remaining_support sim k in
+        let w = ref 0 in
+        while !w < words do
+          (* candidate srcs: rows with demand whose port is free.  Claims
+             inside this word only ever clear the bit being iterated, so
+             the snapshot stays valid. *)
+          let cand = ref (live.(!w) land free_src.(fw + !w)) in
+          while !cand <> 0 do
+            let b = !cand land - !cand in
+            cand := !cand lxor b;
+            let i = (!w * bpw) + Bits.ntz b in
+            (* admissible dst columns [lo, hi): the whole row, or the
+               source's rack once this fabric's core budget is spent *)
+            let local = rack > 0 && core_left.(f) <= 0 in
+            let lo = if local then i / rack * rack else 0 in
+            let hi = if local then min m (lo + rack) else m in
+            let j = ref (-1) and w2 = ref (Bits.word_of lo) in
+            let last = Bits.word_of (hi - 1) and row = i * words in
+            while !j < 0 && !w2 <= last do
+              let base = !w2 * bpw in
+              let x = support.(row + !w2) land free_dst.(fw + !w2) in
+              let rb =
+                ref
+                  (if local then
+                     x
+                     land Bits.low_mask (min bpw (hi - base))
+                     land lnot (Bits.low_mask (max 0 (lo - base)))
+                   else x)
+              in
+              while !j < 0 && !rb <> 0 do
+                let db = !rb land - !rb in
+                rb := !rb lxor db;
+                let c = base + Bits.ntz db in
+                let dup = ref false in
+                if kf > 1 then
+                  for g = 0 to kf - 1 do
+                    let q = (g * m) + i in
+                    if pair_coflow.(q) = k && pair_dst.(q) = c then dup := true
+                  done;
+                if not !dup then j := c
+              done;
+              incr w2
+            done;
+            if !j >= 0 then begin
+              claim f i !j k;
+              transfers :=
+                { Simulator.src = i; dst = !j; coflow = k; fabric = f }
+                :: !transfers;
+              (* saturated: nothing more fits on this fabric *)
+              if n_src.(f) = m || n_dst.(f) = m then begin
+                cand := 0;
+                w := words
+              end
+            end
+          done;
+          incr w
+        done
+      end
+    done
+  done;
   !transfers
 
 (* How many consecutive slots [transfers] may be replayed for without any

@@ -101,19 +101,18 @@ let assign_pairs ?exclude sim matching ~group ~suffix ~backfill =
     while !left > 0 && !idx < n do
       let k = cands.(!idx) in
       incr idx;
-      if Simulator.released sim k then
+      if Simulator.released sim k then begin
+        let live = Simulator.remaining_live_words sim k
+        and support = Simulator.remaining_support sim k in
         for w = 0 to words - 1 do
-          let cand =
-            ref (Simulator.remaining_live_mask sim k w land unclaimed.(w))
-          in
+          let cand = ref (live.(w) land unclaimed.(w)) in
           while !cand <> 0 do
             let b = !cand land - !cand in
             cand := !cand land lnot b;
             let i = (w * bpw) + Bits.ntz b in
             let j = pair_dst.(i) in
             if
-              Simulator.remaining_row_mask sim k i (Bits.word_of j)
-              land (1 lsl Bits.bit_of j)
+              support.((i * words) + Bits.word_of j) land (1 lsl Bits.bit_of j)
               <> 0
               && (match exclude with
                  | Some tbl -> not (Hashtbl.mem tbl (k, i, j))
@@ -126,6 +125,7 @@ let assign_pairs ?exclude sim matching ~group ~suffix ~backfill =
             end
           done
         done
+      end
     done
   in
   scan ~counting:false group;

@@ -16,33 +16,22 @@ let bit_of b = b mod bits_per_word
 (* mask with the [n] low bits set, 0 <= n <= bits_per_word *)
 let low_mask n = if n = 0 then 0 else (1 lsl n) - 1
 
-(* number of trailing zeros; [x] must be nonzero with only payload bits
-   set.  Unrolled binary search: ~6 branch-free steps, no table. *)
-let ntz x =
-  let n = ref 0 and x = ref x in
-  if !x land 0xFFFFFFFF = 0 then begin
-    n := !n + 32;
-    x := !x lsr 32
-  end;
-  if !x land 0xFFFF = 0 then begin
-    n := !n + 16;
-    x := !x lsr 16
-  end;
-  if !x land 0xFF = 0 then begin
-    n := !n + 8;
-    x := !x lsr 8
-  end;
-  if !x land 0xF = 0 then begin
-    n := !n + 4;
-    x := !x lsr 4
-  end;
-  if !x land 0x3 = 0 then begin
-    n := !n + 2;
-    x := !x lsr 2
-  end;
-  if !x land 0x1 = 0 then incr n;
-  !n
-
+(* number of set bits of a payload word (bits 0..61): SWAR.  Pairs,
+   nibbles and bytes are summed in place; every mask fits the 62-bit
+   payload, so all constants are positive OCaml ints.  The byte sums
+   (at most 62, 7 bits) are then folded into the low byte by shifts. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x =
+    (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
+  in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0x7F
+
+(* number of trailing zeros; [x] must be nonzero with only payload bits
+   set.  [x land -x] isolates the lowest set bit; one less is the mask
+   of the bits below it, whose popcount is the answer — branch-free, so
+   sparse bitset walks pay no mispredictions. *)
+let ntz x = popcount ((x land -x) - 1)

@@ -22,8 +22,11 @@ val low_mask : int -> int
     [0 <= n <= bits_per_word]. *)
 
 val ntz : int -> int
-(** Number of trailing zeros of a nonzero word: the index of its lowest
-    set bit, i.e. the first element of the set it encodes. *)
+(** Number of trailing zeros of a nonzero payload word: the index of its
+    lowest set bit, i.e. the first element of the set it encodes.
+    Constant time, branch-free. *)
 
 val popcount : int -> int
-(** Number of set bits. *)
+(** Number of set bits of a payload word (only bits [0..bits_per_word-1]
+    may be set).  Constant time, branch-free: [Smat] ranks packed row
+    entries with it. *)

@@ -26,6 +26,10 @@ type t = {
      index [f * ports + p], so one fill clears every fabric *)
   src_used : bool array;
   dst_used : bool array;
+  (* the (coflow, dst) served from each used (fabric, src) this slot;
+     meaningful only where [src_used] is set, read only when k > 1 *)
+  src_coflow : int array;
+  src_dst : int array;
 }
 
 let create ?(validate = fun _ -> Ok ()) ?net ~ports demands =
@@ -74,6 +78,8 @@ let create ?(validate = fun _ -> Ok ()) ?net ~ports demands =
     moved = 0;
     src_used = Array.make (kf * ports) false;
     dst_used = Array.make (kf * ports) false;
+    src_coflow = Array.make (kf * ports) 0;
+    src_dst = Array.make (kf * ports) 0;
   }
 
 let ports t = t.ports
@@ -164,32 +170,17 @@ let iter_remaining t k f =
   check_coflow t k;
   Smat.iter_nonzero (fun i j v -> f i j v) t.demand.(k)
 
-let iter_remaining_rows t k f =
-  check_coflow t k;
-  let d = t.demand.(k) in
-  for i = 0 to t.ports - 1 do
-    if Smat.row_sum d i > 0 then f i (Smat.row_seq d i)
-  done
-
 let remaining_in_row t k i =
   check_coflow t k;
   Smat.row_sum t.demand.(k) i
 
-let remaining_next_row t k ~min_src =
+let remaining_live_words t k =
   check_coflow t k;
-  Smat.next_row t.demand.(k) ~min_row:min_src
+  Smat.live_words t.demand.(k)
 
-let remaining_live_mask t k w =
+let remaining_support t k =
   check_coflow t k;
-  Smat.live_mask t.demand.(k) w
-
-let remaining_row_mask t k i w =
-  check_coflow t k;
-  Smat.row_mask t.demand.(k) i w
-
-let remaining_next_in_row t k ~src ~min_dst =
-  check_coflow t k;
-  Smat.row_next t.demand.(k) src ~min_col:min_dst
+  Smat.support t.demand.(k)
 
 let remaining_at t k i j =
   check_coflow t k;
@@ -303,13 +294,6 @@ let step_n t transfers n =
   done;
   Array.fill t.src_used 0 (t.kf * t.ports) false;
   Array.fill t.dst_used 0 (t.kf * t.ports) false;
-  (* the same (coflow, src, dst) entry may be drained by at most one
-     fabric per slot — parallel drains of one entry would race the demand
-     decrement; only possible (and only checked) when k > 1 *)
-  let seen_pair =
-    if t.kf > 1 then Some (Hashtbl.create (2 * List.length transfers))
-    else None
-  in
   List.iter
     (fun { src; dst; coflow; fabric } ->
       if fabric < 0 || fabric >= t.kf then
@@ -330,19 +314,29 @@ let step_n t transfers n =
           (Invalid_slot
              (if t.kf = 1 then Printf.sprintf "egress %d used twice" dst
               else Printf.sprintf "fabric %d: egress %d used twice" fabric dst));
+      (* the same (coflow, src, dst) entry may be drained by at most one
+         fabric per slot — parallel drains of one entry would race the
+         demand decrement.  An earlier drain of it used [src] on another
+         fabric (a second use on this one already failed above), so
+         probing [src] on the k - 1 other fabrics finds it. *)
+      if t.kf > 1 then
+        for f = 0 to t.kf - 1 do
+          let p = (f * t.ports) + src in
+          if
+            f <> fabric && t.src_used.(p)
+            && t.src_coflow.(p) = coflow
+            && t.src_dst.(p) = dst
+          then
+            raise
+              (Invalid_slot
+                 (Printf.sprintf
+                    "coflow %d pair (%d, %d) served on two fabrics in one slot"
+                    coflow src dst))
+        done;
       t.src_used.(fb + src) <- true;
       t.dst_used.(fb + dst) <- true;
-      (match seen_pair with
-      | None -> ()
-      | Some tbl ->
-        let key = (coflow, src, dst) in
-        if Hashtbl.mem tbl key then
-          raise
-            (Invalid_slot
-               (Printf.sprintf
-                  "coflow %d pair (%d, %d) served on two fabrics in one slot"
-                  coflow src dst));
-        Hashtbl.add tbl key ());
+      t.src_coflow.(fb + src) <- coflow;
+      t.src_dst.(fb + src) <- dst;
       if t.releases.(coflow) > t.clock then
         raise
           (Invalid_slot
@@ -373,9 +367,10 @@ let step_n t transfers n =
   if transfers <> [] then t.busy <- t.busy + n;
   List.iter
     (fun { src; dst; coflow; fabric } ->
-      let have = Smat.get t.demand.(coflow) src dst in
+      let d = t.demand.(coflow) in
+      let have = Smat.get d src dst in
       let moved = min (n * t.rates.(fabric)) have in
-      Smat.add_entry t.demand.(coflow) src dst (-moved);
+      Smat.set d src dst (have - moved);
       t.left.(coflow) <- t.left.(coflow) - moved;
       t.moved <- t.moved + moved;
       if t.first_served.(coflow) < 0 then begin

@@ -95,48 +95,30 @@ val iter_remaining : t -> int -> (int -> int -> int -> unit) -> unit
     positive remaining entry of coflow [k] without copying — the fast path
     for per-slot policies.  The callback must not call {!step}. *)
 
-val iter_remaining_rows :
-  t -> int -> (int -> (int * int) Seq.t -> unit) -> unit
-(** [iter_remaining_rows sim k f] applies [f i row] to every source port
-    [i] with positive remaining demand for coflow [k]; [row] lazily
-    enumerates that row's [(dst, units)] nonzeros in ascending column
-    order.  Matching loops use this to skip an already-claimed source
-    port without visiting any of its entries, and to stop scanning a row
-    at the first usable destination.  The callback must not call
-    {!step}. *)
-
 val remaining_in_row : t -> int -> int -> int
 (** [remaining_in_row sim k i] — total remaining units coflow [k] still
     owes on source port [i]; constant time (the sparse row loads are
     maintained incrementally). *)
 
-val remaining_next_row : t -> int -> min_src:int -> int option
-(** [remaining_next_row sim k ~min_src] — the first source port
-    [>= min_src] on which coflow [k] still owes demand, or [None];
-    O(log m) over the incrementally maintained live-row set.  Lets a
-    matching scan over a nearly-drained coflow jump between its few
-    remaining rows instead of probing every port. *)
+val remaining_live_words : t -> int -> int array
+(** [remaining_live_words sim k] — coflow [k]'s live-row bitset
+    ({!Matrix.Bits} layout, {!Matrix.Bits.words_for} [ports] words): bit
+    [i] is set iff source port [i] still owes demand.  Intersecting a
+    word with a free-source bitset yields a slot's candidate sources in
+    one [land] — the core of the O(ports/word) matching scan.
 
-val remaining_next_in_row : t -> int -> src:int -> min_dst:int -> (int * int) option
-(** [remaining_next_in_row sim k ~src ~min_dst] — the first remaining
-    [(dst, units)] nonzero of coflow [k] on source [src] with
-    [dst >= min_dst], or [None]; O(log row nonzeros).  Matching loops
-    alternate this with a free-port successor query to find the first
-    usable destination in a row without visiting the entries in
-    between. *)
+    This is the simulator's own storage, not a copy: it is {b read-only}
+    and tracks the demand as slots commit.  Matching kernels fetch it
+    once per coflow instead of checking the coflow index per word. *)
 
-val remaining_live_mask : t -> int -> int -> int
-(** [remaining_live_mask sim k w] — word [w] of coflow [k]'s live-row
-    bitset ({!Matrix.Bits} layout): bit [i] is set iff source port
-    [w * Bits.bits_per_word + i] still owes demand.  Intersecting with a
-    free-source bitset yields a slot's candidate sources in one [land]
-    per word — the core of the O(ports/word) matching scan. *)
-
-val remaining_row_mask : t -> int -> int -> int -> int
-(** [remaining_row_mask sim k i w] — word [w] of the column-support
-    bitset of coflow [k]'s source row [i].  Intersecting with a free-dst
-    bitset and taking the lowest set bit yields the first usable
-    destination in the row without visiting entries. *)
+val remaining_support : t -> int -> int array
+(** [remaining_support sim k] — coflow [k]'s column-support bitsets,
+    row-major: with [words = Bits.words_for ports], word
+    [i * words + w] holds columns [w * Bits.bits_per_word ..] of source
+    row [i], and bit [j] of row [i] is set iff pair [(i, j)] still owes
+    demand.  Intersecting a row word with a free-dst bitset and taking
+    the lowest set bit yields the first usable destination without
+    visiting entries.  Read-only, like {!remaining_live_words}. *)
 
 val remaining_at : t -> int -> int -> int -> int
 (** [remaining_at sim k i j] — remaining units of coflow [k] on pair

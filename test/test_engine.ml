@@ -170,6 +170,146 @@ let prop_greedy_matching_valid_and_maximal =
         priority;
       true)
 
+(* ---------- greedy kernel against a dense reference ---------- *)
+
+(* The bitset kernel claims to be exactly the naive greedy: priority
+   order, then ascending src, then the first free dst with demand; one
+   sweep per fabric, fastest first; an entry never claimed on two
+   fabrics in one slot; once a fabric's core budget is spent only
+   rack-local pairs.  This reference spells that out entry by entry over
+   dense boolean arrays, trusting nothing of the kernel's bitsets. *)
+let reference_greedy ?(init = []) sim ~priority =
+  let open Switchsim in
+  let m = Simulator.ports sim and net = Simulator.net sim in
+  let kf = Simulator.num_fabrics sim in
+  let src_used = Array.make (kf * m) false in
+  let dst_used = Array.make (kf * m) false in
+  let core_left =
+    Array.init kf (fun f ->
+        Option.value (Net.core_capacity net f) ~default:max_int)
+  in
+  let taken = Hashtbl.create 16 in
+  let occupy { Simulator.src; dst; coflow; fabric = f } =
+    src_used.((f * m) + src) <- true;
+    dst_used.((f * m) + dst) <- true;
+    if Net.crosses_core net ~fabric:f ~src ~dst then
+      core_left.(f) <- core_left.(f) - 1;
+    Hashtbl.replace taken (coflow, src, dst) ()
+  in
+  List.iter occupy init;
+  let out = ref init in
+  Array.iter
+    (fun f ->
+      Array.iter
+        (fun k ->
+          if Simulator.released sim k && not (Simulator.is_complete sim k)
+          then
+            for i = 0 to m - 1 do
+              if not src_used.((f * m) + i) then begin
+                let admissible j =
+                  Simulator.remaining_at sim k i j > 0
+                  && (not dst_used.((f * m) + j))
+                  && (not (Hashtbl.mem taken (k, i, j)))
+                  && (core_left.(f) > 0
+                     || not (Net.crosses_core net ~fabric:f ~src:i ~dst:j))
+                in
+                let j = ref 0 in
+                while !j < m && not (admissible !j) do
+                  incr j
+                done;
+                if !j < m then begin
+                  let tr =
+                    { Simulator.src = i; dst = !j; coflow = k; fabric = f }
+                  in
+                  occupy tr;
+                  out := tr :: !out
+                end
+              end
+            done)
+        priority)
+    (Net.by_rate net);
+  !out
+
+(* one net per case: the paper's switch, k in {2, 3} non-blocking fabrics
+   at mixed rates, a two-tier fabric with a small core, and a k = 2 mix
+   of an oversubscribed fast fabric with a plain slow one *)
+let random_net st ports =
+  let module N = Switchsim.Net in
+  let rate () = 1 + Random.State.int st 4 in
+  let rack () = 1 + Random.State.int st ports in
+  match Random.State.int st 4 with
+  | 0 -> N.single ~ports
+  | 1 -> N.uniform ~ports ~rates:(List.init (2 + Random.State.int st 2) (fun _ -> rate ()))
+  | 2 ->
+    N.two_tier ~ports ~rack_size:(rack ())
+      ~core_capacity:(Random.State.int st 4)
+  | _ ->
+    N.make ~ports
+      [ N.fabric ~rack_size:(rack ()) ~core_capacity:(Random.State.int st 3)
+          (rate ());
+        N.fabric (rate ());
+      ]
+
+let pp_transfers ts =
+  String.concat " "
+    (List.map
+       (fun { Switchsim.Simulator.src; dst; coflow; fabric } ->
+         Printf.sprintf "%d:%d->%d@%d" coflow src dst fabric)
+       ts)
+
+let prop_greedy_matches_reference =
+  QCheck.Test.make
+    ~name:"Policy.greedy_matching equals the dense entry-by-entry greedy"
+    ~count:150
+    QCheck.(triple (int_range 1 70) (int_range 1 6) (int_range 0 1_000_000))
+    (fun (ports, coflows, seed) ->
+      let st = Random.State.make [| seed |] in
+      let density = if Random.State.bool st then 0.05 else 0.4 in
+      let inst =
+        Synthetic.uniform ~density ~max_size:3 ~ports ~coflows st
+      in
+      (* staggered releases, so some coflows are not yet serviceable *)
+      let demands =
+        List.map
+          (fun (_, d) -> (Random.State.int st 3, d))
+          (Instance.demands inst)
+      in
+      let net = random_net st ports in
+      let sim = Switchsim.Simulator.create ~net ~ports demands in
+      let priority = Array.init coflows (fun k -> k) in
+      for k = coflows - 1 downto 1 do
+        let r = Random.State.int st (k + 1) in
+        let t = priority.(k) in
+        priority.(k) <- priority.(r);
+        priority.(r) <- t
+      done;
+      let reversed = Array.of_list (List.rev (Array.to_list priority)) in
+      let same label expect got =
+        if expect <> got then
+          QCheck.Test.fail_reportf "%s: reference [%s] kernel [%s]" label
+            (pp_transfers expect) (pp_transfers got)
+      in
+      let steps = ref 0 in
+      while
+        !steps < 8 && not (Switchsim.Simulator.all_complete sim)
+      do
+        incr steps;
+        same "fresh"
+          (reference_greedy sim ~priority)
+          (Policy.greedy_matching sim ~priority);
+        (* a partial slot: about half of another order's matching *)
+        let init =
+          List.filter
+            (fun _ -> Random.State.bool st)
+            (reference_greedy sim ~priority:reversed)
+        in
+        same "with init"
+          (reference_greedy ~init sim ~priority)
+          (Policy.greedy_matching ~init sim ~priority);
+        Switchsim.Simulator.step sim (Policy.greedy_matching sim ~priority)
+      done;
+      true)
+
 (* ---------- k=1 / rate=1 Net equivalence ---------- *)
 
 (* The multi-fabric refactor claims [Net.single] recovers the paper's
@@ -237,7 +377,9 @@ let () =
             test_run_many_reraises;
         ] );
       ( "policy",
-        [ QCheck_alcotest.to_alcotest prop_greedy_matching_valid_and_maximal ]
+        [ QCheck_alcotest.to_alcotest prop_greedy_matching_valid_and_maximal;
+          QCheck_alcotest.to_alcotest prop_greedy_matches_reference;
+        ]
       );
       ( "net-equivalence",
         [ Alcotest.test_case "goldens through Net.single" `Quick

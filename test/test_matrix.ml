@@ -185,6 +185,38 @@ let prop_sub_clamped_leq =
       QCheck.assume (Mat.dim a = Mat.dim b);
       Mat.leq (Mat.sub_clamped a b) a)
 
+(* Bits.popcount is SWAR arithmetic and Bits.ntz is built on it; pin
+   both to their definitions (clear the lowest set bit until none is
+   left; shift right until bit 0 is set) on every kind of payload word:
+   uniform, sparse, dense, single bits and the extremes 0 and
+   [low_mask 62] *)
+let payload_gen =
+  QCheck.Gen.(
+    let half = int_bound ((1 lsl 31) - 1) in
+    let word = map2 (fun hi lo -> (hi lsl 31) lor lo) half half in
+    oneof
+      [ return 0;
+        return (Matrix.Bits.low_mask Matrix.Bits.bits_per_word);
+        map (fun b -> 1 lsl b) (int_bound (Matrix.Bits.bits_per_word - 1));
+        map Matrix.Bits.low_mask (int_bound Matrix.Bits.bits_per_word);
+        word;
+        map2 ( land ) word word;
+        map2 ( lor ) word word;
+      ])
+
+let prop_popcount =
+  QCheck.Test.make ~name:"Bits.popcount and Bits.ntz equal their bit loops" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "0x%x") payload_gen)
+    (fun x ->
+      let rec naive x acc =
+        if x = 0 then acc else naive (x land (x - 1)) (acc + 1)
+      in
+      let rec naive_ntz x n =
+        if x land 1 = 1 then n else naive_ntz (x lsr 1) (n + 1)
+      in
+      Matrix.Bits.popcount x = naive x 0
+      && (x = 0 || Matrix.Bits.ntz x = naive_ntz x 0))
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_load_bounds;
@@ -193,6 +225,7 @@ let properties =
       prop_transpose_preserves_load;
       prop_add_commutative;
       prop_sub_clamped_leq;
+      prop_popcount;
     ]
 
 let () =

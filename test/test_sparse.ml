@@ -156,6 +156,110 @@ let prop_row_next =
       done;
       !ok)
 
+(* Churn: besides single-cell writes, whole rows are filled (every column,
+   so a row spans two words once m > 62) and emptied again — the paths
+   that grow, shift and drain a packed row end to end. *)
+type churn_op = Cell of int * int * int | Fill_row of int * int | Clear_row of int
+
+let churn_ops_gen m =
+  QCheck.Gen.(
+    list_size (int_range 0 60)
+      (let* i = int_bound (m - 1) in
+       let* j = int_bound (m - 1) in
+       let* v = int_range 1 9 in
+       frequency
+         [ (6, return (Cell (i, j, v)));
+           (2, return (Cell (i, j, 0)));
+           (1, return (Fill_row (i, v)));
+           (1, return (Clear_row i));
+         ]))
+
+let apply_churn dense sparse ops =
+  let m = Mat.dim dense in
+  let set i j v =
+    Mat.set dense i j v;
+    Smat.set sparse i j v
+  in
+  List.iter
+    (function
+      | Cell (i, j, v) -> set i j v
+      | Fill_row (i, v) ->
+        for j = 0 to m - 1 do
+          set i j (v + (j mod 3))
+        done
+      | Clear_row i ->
+        for j = m - 1 downto 0 do
+          set i j 0
+        done)
+    ops
+
+(* every observable of [sparse] against its dense mirror: values,
+   aggregates, iteration order and both bitset views *)
+let agrees dense sparse =
+  let m = Mat.dim dense in
+  let ok = ref (entries_of_mat dense = entries_of_smat sparse) in
+  for i = 0 to m - 1 do
+    let nnz = ref 0 in
+    for j = 0 to m - 1 do
+      let v = Mat.get dense i j in
+      if v > 0 then incr nnz;
+      let bit =
+        Smat.row_mask sparse i (Bits.word_of j) land (1 lsl Bits.bit_of j) <> 0
+      in
+      if Smat.get sparse i j <> v || bit <> (v > 0) then ok := false
+    done;
+    let live =
+      Smat.live_mask sparse (Bits.word_of i) land (1 lsl Bits.bit_of i) <> 0
+    in
+    if Smat.row_nnz sparse i <> !nnz || live <> (!nnz > 0) then ok := false
+  done;
+  !ok
+  && Mat.row_sums dense = Smat.row_sums sparse
+  && Mat.col_sums dense = Smat.col_sums sparse
+  && Mat.total dense = Smat.total sparse
+  && Mat.load dense = Smat.load sparse
+  && Mat.nonzero_count dense = Smat.nonzero_count sparse
+  && Smat.equal sparse (Smat.of_dense dense)
+
+let arb_churn =
+  QCheck.make
+    ~print:(fun (m, a, b, c) ->
+      let show ops =
+        String.concat "; "
+          (List.map
+             (function
+               | Cell (i, j, v) -> Printf.sprintf "(%d,%d)<-%d" i j v
+               | Fill_row (i, v) -> Printf.sprintf "fill %d <-%d" i v
+               | Clear_row i -> Printf.sprintf "clear %d" i)
+             ops)
+      in
+      Printf.sprintf "m=%d base=[%s] copy=[%s] original=[%s]" m (show a)
+        (show b) (show c))
+    QCheck.Gen.(
+      let* m = int_range 1 70 in
+      let* a = churn_ops_gen m in
+      let* b = churn_ops_gen m in
+      let* c = churn_ops_gen m in
+      return (m, a, b, c))
+
+let prop_copy_churn =
+  QCheck.Test.make
+    ~name:"Smat.copy shares nothing with its source under row churn"
+    ~count:300 arb_churn (fun (m, base, on_copy, on_original) ->
+      let dense = Mat.make m and sparse = Smat.make m in
+      apply_churn dense sparse base;
+      let dense_copy = Mat.copy dense and sparse_copy = Smat.copy sparse in
+      let built = agrees dense sparse && agrees dense_copy sparse_copy in
+      (* mutate each side on its own; each must still match its own
+         mirror, so no write leaked through a shared packed row, bitset or
+         aggregate array *)
+      apply_churn dense_copy sparse_copy on_copy;
+      let original_untouched = agrees dense sparse in
+      apply_churn dense sparse on_original;
+      built && original_untouched
+      && agrees dense sparse
+      && agrees dense_copy sparse_copy)
+
 let test_copy_isolated () =
   let s = Smat.make 70 in
   Smat.set s 65 3 4;
@@ -325,7 +429,12 @@ let test_batch_ab_grown_demand () =
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_mirror; prop_bitset_views; prop_row_next; prop_bvn_sparse_equiv ]
+    [ prop_mirror;
+      prop_bitset_views;
+      prop_row_next;
+      prop_bvn_sparse_equiv;
+      prop_copy_churn;
+    ]
 
 let () =
   Alcotest.run "sparse"

@@ -372,6 +372,14 @@ let test_multi_fabric_port_exclusivity () =
      Simulator.step sim [ tf 0 0 0 0; tf 0 1 0 0 ];
      Alcotest.fail "expected Invalid_slot"
    with Simulator.Invalid_slot _ -> ());
+  (* ... but one entry drained on both fabrics at once is double service *)
+  (try
+     Simulator.step sim [ tf 0 1 0 0; tf 0 1 0 1 ];
+     Alcotest.fail "expected Invalid_slot"
+   with Simulator.Invalid_slot m ->
+     Alcotest.(check bool)
+       "names the double service" true
+       (Astring.String.is_infix ~affix:"two fabrics" m));
   Simulator.step sim [ tf 0 0 0 0; tf 0 1 0 1 ];
   check_int "both fabrics served src 0" 2 (Simulator.units_moved sim)
 
