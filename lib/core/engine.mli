@@ -40,12 +40,13 @@ val run :
     to completion.  [max_slots] as in {!Switchsim.Simulator.run}.
 
     When the prepared stepper offers a batched decision and installs no
-    per-slot hooks, the engine drives
-    {!Switchsim.Simulator.run_batched} — the event-driven loop that jumps
-    the clock across runs of identical slots.  [batch:false] forces the
-    slot-by-slot loop (the A/B lever the equivalence tests and the
-    throughput experiments use); results are identical either way, only
-    [seconds] differs.  Wall-clock throughput of the run is published on
+    per-slot hooks, the engine hands it to the simulator loop, which then
+    jumps the clock across runs of identical slots; otherwise every
+    decision covers one slot.  [batch:false] forces the slot-by-slot
+    decisions (the A/B lever the equivalence tests and the throughput
+    experiments use); results are identical either way, only [seconds]
+    and the decision count [sim.batch_steps] differ.  Wall-clock
+    throughput of the run is published on
     the [engine.slots_per_sec] / [engine.coflows_per_sec] gauges.
     @raise Switchsim.Simulator.Invalid_slot on a bad policy decision,
     [Failure] when the slot budget is exhausted. *)

@@ -439,19 +439,63 @@ let solve_interval_base ?(solver = `Revised) ?max_iterations ?deadline
       ~obj_at:`Left inst
   end
 
+(* LP-EXP proper, on an instance whose coflows all carry demand. *)
+let time_indexed ~solver ?max_iterations ?deadline ?warm_start ~max_vars inst
+    =
+  let n = Instance.num_coflows inst in
+  let t = Instance.horizon inst in
+  if n * t > max_vars then
+    raise
+      (Too_large
+         (Printf.sprintf
+            "LP-EXP would need %d variables (n=%d, T=%d) > max_vars=%d" (n * t)
+            n t max_vars));
+  let taus = Array.init t (fun i -> i + 1) in
+  solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus
+    ~obj_at:`Right inst
+
+(* An empty coflow completes on arrival in every schedule (the engine
+   reports [max 0 r_k]), so it is charged exactly [w_k * r_k] outside the
+   LP; inside it the unit grid would charge it at least one slot and the
+   "lower bound" could exceed a real schedule.  The LP runs on the coflows
+   with demand only, and its answer is mapped back to working indices. *)
 let solve_time_indexed ?(solver = `Revised) ?max_iterations ?deadline
     ?warm_start ?(max_vars = 100_000) inst =
-  let n = Instance.num_coflows inst in
-  if n = 0 || Instance.total_units inst = 0 then trivial_result n
-  else begin
-    let t = Instance.horizon inst in
-    if n * t > max_vars then
-      raise
-        (Too_large
-           (Printf.sprintf
-              "LP-EXP would need %d variables (n=%d, T=%d) > max_vars=%d" (n * t)
-              n t max_vars));
-    let taus = Array.init t (fun i -> i + 1) in
-    solve_on_grid ~solver ?max_iterations ?deadline ?warm_start ~taus
-      ~obj_at:`Right inst
-  end
+  let coflows = Instance.coflows inst in
+  let n = Array.length coflows in
+  let empty c = Mat.total c.Instance.demand = 0 in
+  let keep =
+    Array.of_list
+      (List.filter (fun k -> not (empty coflows.(k))) (List.init n Fun.id))
+  in
+  let index = Array.make n (-1) in
+  Array.iteri (fun i k -> index.(k) <- i) keep;
+  let r =
+    if keep = [||] then trivial_result 0
+    else
+      time_indexed ~solver ?max_iterations ?deadline ~max_vars
+        ?warm_start:
+          (Option.map
+             (remap_hints ~index_map:(fun k ->
+                  if k >= 0 && k < n && index.(k) >= 0 then Some index.(k)
+                  else None))
+             warm_start)
+        (Instance.make ~ports:(Instance.ports inst)
+           (List.map (fun k -> coflows.(k)) (Array.to_list keep)))
+  in
+  let cbar = Array.map (fun c -> float_of_int c.Instance.release) coflows in
+  Array.iteri (fun i k -> cbar.(k) <- r.cbar.(i)) keep;
+  let charge =
+    Array.fold_left
+      (fun acc c ->
+        if empty c then acc +. (c.Instance.weight *. float_of_int c.release)
+        else acc)
+      0.0 coflows
+  in
+  { r with
+    cbar;
+    order = order_of_cbar cbar;
+    lower_bound = r.lower_bound +. charge;
+    values = List.map (fun (i, l, x) -> (keep.(i), l, x)) r.values;
+    warm = Option.map (remap_hints ~index_map:(fun i -> Some keep.(i))) r.warm;
+  }

@@ -102,7 +102,11 @@ val solve_time_indexed :
   ?max_vars:int ->
   Workload.Instance.t ->
   result
-(** Build and solve (LP-EXP); [max_vars] defaults to [100_000]. *)
+(** Build and solve (LP-EXP); [max_vars] defaults to [100_000].  An
+    empty coflow completes on arrival in every schedule, so it is charged
+    [w_k * r_k] (and gets [cbar = r_k]) outside the LP, which runs on the
+    coflows with demand only; [values] and [warm] still use the
+    instance's working indices. *)
 
 val interval_count : Workload.Instance.t -> int
 (** The [L] used by [solve_interval]: smallest [L] with

@@ -53,11 +53,20 @@ let stateless ~describe next_slot =
    dst) of a fabric is claimed no later coflow can add a transfer there
    and the scan moves to the next fabric.
 
-   Per call the kernel allocates its bitsets, one [claim] helper and the
-   transfer list; per coflow and per candidate it allocates nothing: the
+   A fault plan is evaluated once, at the slot about to run: down ports
+   are cleared from every fabric's free bitsets, down fabrics are
+   skipped, a degraded link's duty cycle is tested on a candidate
+   destination only while some link degradation is in force, and a
+   degraded core is one budget for the whole slot over core-counted
+   transfers (those on a rack-less fabric, or crossing their fabric's
+   core).  Once it is spent, rack fabrics go rack-local and rack-less
+   fabrics stop.
+
+   Per call the kernel allocates its bitsets, a few helper closures and
+   the transfer list; per coflow and per candidate it allocates nothing: the
    loops are plain [while] loops over the simulator's read-only bitset
    arrays, fetched once per coflow. *)
-let greedy_matching ?(init = []) sim ~priority =
+let greedy_matching ?plan ?(init = []) sim ~priority =
   let m = Simulator.ports sim in
   let net = Simulator.net sim in
   let kf = Simulator.num_fabrics sim in
@@ -70,6 +79,18 @@ let greedy_matching ?(init = []) sim ~priority =
   done;
   let free_dst = Array.copy free_src in
   let n_src = Array.make kf 0 and n_dst = Array.make kf 0 in
+  let take free n f p =
+    let x = (f * words) + Bits.word_of p and b = 1 lsl Bits.bit_of p in
+    if free.(x) land b <> 0 then begin
+      free.(x) <- free.(x) lxor b;
+      n.(f) <- n.(f) + 1;
+      true
+    end
+    else false
+  in
+  let rack_of_fabric f =
+    match (Net.fabric_of net f).Net.rack_size with None -> 0 | Some rs -> rs
+  in
   (* per-fabric inter-rack budget; [max_int] marks a non-blocking fabric *)
   let core_left = Array.make kf max_int in
   for f = 0 to kf - 1 do
@@ -77,6 +98,31 @@ let greedy_matching ?(init = []) sim ~priority =
     | None -> ()
     | Some c -> core_left.(f) <- c
   done;
+  (* the plan's state at this slot; [plan_left] is the degraded core's
+     whole-slot budget, [max_int] when the core is healthy *)
+  let slot = Simulator.now sim in
+  let plan = Option.value plan ~default:Faults.Fault_plan.empty in
+  let in_force = Faults.Fault_plan.active_at plan ~slot in
+  let links =
+    List.exists
+      (function Faults.Fault_plan.Link_degraded _ -> true | _ -> false)
+      in_force
+  in
+  let fabric_down = Array.make kf false in
+  let plan_left = ref max_int in
+  List.iter
+    (function
+      | Faults.Fault_plan.Port_down { port; _ } when port < m ->
+        for f = 0 to kf - 1 do
+          ignore (take free_src n_src f port);
+          ignore (take free_dst n_dst f port)
+        done
+      | Faults.Fault_plan.Fabric_down { fabric; _ } when fabric < kf ->
+        fabric_down.(fabric) <- true
+      | Faults.Fault_plan.Core_degraded { capacity; _ } ->
+        plan_left := min !plan_left capacity
+      | _ -> ())
+    in_force;
   (* cross-fabric dedupe, only needed when k > 1: the (coflow, dst) each
      claimed (fabric, src) serves.  An entry (k, i, j) already claimed on
      some fabric holds src i there, so probing i on the k fabrics finds
@@ -98,8 +144,13 @@ let greedy_matching ?(init = []) sim ~priority =
       free_dst.(x) <- free_dst.(x) lxor b;
       n_dst.(f) <- n_dst.(f) + 1
     end;
-    if core_left.(f) <> max_int && Net.crosses_core net ~fabric:f ~src:i ~dst:j
-    then core_left.(f) <- core_left.(f) - 1
+    if core_left.(f) <> max_int || !plan_left <> max_int then begin
+      let crosses = Net.crosses_core net ~fabric:f ~src:i ~dst:j in
+      if crosses && core_left.(f) <> max_int then
+        core_left.(f) <- core_left.(f) - 1;
+      if !plan_left <> max_int && (crosses || rack_of_fabric f = 0) then
+        decr plan_left
+    end
   in
   List.iter
     (fun { Simulator.src; dst; coflow; fabric } -> claim fabric src dst coflow)
@@ -110,10 +161,12 @@ let greedy_matching ?(init = []) sim ~priority =
   for oi = 0 to kf - 1 do
     let f = order.(oi) in
     let fw = f * words in
-    let rack =
-      match (Net.fabric_of net f).Net.rack_size with None -> 0 | Some rs -> rs
+    let rack = rack_of_fabric f in
+    (* a down fabric takes nothing, nor does a rack-less one once the
+       degraded core is spent *)
+    let p =
+      ref (if fabric_down.(f) || (rack = 0 && !plan_left <= 0) then np else 0)
     in
-    let p = ref 0 in
     while !p < np && n_src.(f) < m && n_dst.(f) < m do
       let k = priority.(!p) in
       incr p;
@@ -131,8 +184,8 @@ let greedy_matching ?(init = []) sim ~priority =
             cand := !cand lxor b;
             let i = (!w * bpw) + Bits.ntz b in
             (* admissible dst columns [lo, hi): the whole row, or the
-               source's rack once this fabric's core budget is spent *)
-            let local = rack > 0 && core_left.(f) <= 0 in
+               source's rack once a core budget binding it is spent *)
+            let local = rack > 0 && (core_left.(f) <= 0 || !plan_left <= 0) in
             let lo = if local then i / rack * rack else 0 in
             let hi = if local then min m (lo + rack) else m in
             let j = ref (-1) and w2 = ref (Bits.word_of lo) in
@@ -152,13 +205,17 @@ let greedy_matching ?(init = []) sim ~priority =
                 let db = !rb land - !rb in
                 rb := !rb lxor db;
                 let c = base + Bits.ntz db in
-                let dup = ref false in
+                let ok =
+                  ref
+                    ((not links)
+                    || Faults.Fault_plan.link_usable plan ~slot ~src:i ~dst:c)
+                in
                 if kf > 1 then
                   for g = 0 to kf - 1 do
                     let q = (g * m) + i in
-                    if pair_coflow.(q) = k && pair_dst.(q) = c then dup := true
+                    if pair_coflow.(q) = k && pair_dst.(q) = c then ok := false
                   done;
-                if not !dup then j := c
+                if !ok then j := c
               done;
               incr w2
             done;
@@ -167,10 +224,16 @@ let greedy_matching ?(init = []) sim ~priority =
               transfers :=
                 { Simulator.src = i; dst = !j; coflow = k; fabric = f }
                 :: !transfers;
-              (* saturated: nothing more fits on this fabric *)
+              (* saturated, or a rack-less fabric's degraded core is
+                 spent: nothing more fits on this fabric *)
               if n_src.(f) = m || n_dst.(f) = m then begin
                 cand := 0;
                 w := words
+              end
+              else if rack = 0 && !plan_left <= 0 then begin
+                cand := 0;
+                w := words;
+                p := np
               end
             end
           done;

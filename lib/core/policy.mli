@@ -22,10 +22,9 @@ type stepper = {
           consecutive slots [n] ([1 <= n <= max_n]) they may be replayed
           for without diverging from [next_slot] — see {!skip_bound} for
           the safety argument.  When present (and no per-slot hooks are
-          installed) the engine drives
-          {!Switchsim.Simulator.run_batched} instead of the slot loop;
-          totals, events and counters must come out identical either
-          way. *)
+          installed) the engine lets {!Switchsim.Simulator.run} jump the
+          clock with it instead of deciding slot by slot; totals, events
+          and slot counters must come out identical either way. *)
   pre_slot : (Switchsim.Simulator.t -> unit) option;
       (** runs before [next_slot] every slot — the fault clock
           ({!Faults.Injector.tick}), re-planning triggers, etc. *)
@@ -69,16 +68,26 @@ val stateless :
     allocates nothing. *)
 
 val greedy_matching :
+  ?plan:Faults.Fault_plan.t ->
   ?init:Switchsim.Simulator.transfer list ->
   Switchsim.Simulator.t ->
   priority:int array ->
   Switchsim.Simulator.transfer list
 (** Order-respecting greedy maximal matching: scan released, unfinished
     coflows in [priority] order and claim free port pairs from their
-    remaining demand.  [init] (default empty) marks already-claimed pairs —
-    work-conserving extensions pass the partial slot and get it extended.
-    This is the shared core of {!Baselines.greedy}, the scheduler's
-    backfill paths and the online rules. *)
+    remaining demand, one sweep per fabric of the simulator's net, fastest
+    first, respecting each fabric's core budget.  [init] (default empty)
+    marks already-claimed pairs — work-conserving extensions pass the
+    partial slot and get it extended.  This is the repo's one greedy
+    matcher: the core of {!Baselines.greedy}, the scheduler's backfill
+    paths, the online rules, {!Resilient} and the service's epoch loop.
+
+    [plan] (default: no faults) is evaluated at [Simulator.now sim]: ports
+    it has down are never claimed, fabrics it has down are skipped, a
+    degraded link is used only on its duty cycle, and a
+    {!Faults.Fault_plan.Core_degraded} budget caps the slot's core-counted
+    transfers (see its documentation) — so the result passes
+    {!Faults.Injector.check_slot}. *)
 
 val skip_bound :
   Switchsim.Simulator.t ->

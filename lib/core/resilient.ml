@@ -133,10 +133,10 @@ let replan cfg inj inst ~warm ~lp_stats ~on_lp_failure =
     | None ->
       (Rho, Array.map (fun i -> keep.(i)) (Ordering.by_load_over_weight resid)))
 
-let run ?(config = default_config) ?topo ?net ?(plan = Fault_plan.empty) inst =
+let run ?(config = default_config) ?net ?(plan = Fault_plan.empty) inst =
   Obs.Span.with_ "resilient.run" @@ fun () ->
   let ports = Instance.ports inst in
-  let inj = Injector.create ?topo ?net ~plan ~ports (Instance.demands inst) in
+  let inj = Injector.create ?net ~plan ~ports (Instance.demands inst) in
   let sim = Injector.sim inj in
   let lp_failures = ref 0 and replans = ref 0 in
   let warm = ref None and lp_stats = ref (0, 0) in
@@ -198,7 +198,7 @@ let run ?(config = default_config) ?topo ?net ?(plan = Fault_plan.empty) inst =
   let policy =
     Policy.make ~describe:"resilient" (fun _ ->
         Policy.stepper ~pre_slot ~on_decided (fun s ->
-            Injector.greedy_policy inj !order s))
+            Policy.greedy_matching ~plan s ~priority:!order))
   in
   let er = Engine.run ~max_slots:config.max_slots ~sim inst policy in
   if Obs.Trace.enabled () then close_plan ~slot:(Simulator.now sim);

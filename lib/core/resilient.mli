@@ -21,10 +21,11 @@
     statistics plane is gone).  Which tier served each slot is recorded in
     the audit log and summed in [tier_slots].
 
-    Service itself is the fault-aware greedy priority matching of
-    {!Faults.Injector}, so every emitted slot is also checked by the
-    simulator's validate hook; the returned {!Faults.Audit.t} can be
-    re-certified independently with {!Faults.Audit.check}.
+    Service itself is the fault-aware greedy priority matching
+    [Policy.greedy_matching ~plan], and every emitted slot is also checked
+    by the {!Faults.Injector}'s validate hook; the returned
+    {!Faults.Audit.t} can be re-certified independently with
+    {!Faults.Audit.check}.
 
     Determinism: with [lp_deadline = None] (or a deadline the solves never
     approach) the whole run is a pure function of instance, plan and
@@ -78,15 +79,15 @@ type result = {
 
 val run :
   ?config:config ->
-  ?topo:Switchsim.Fabric.topology ->
   ?net:Switchsim.Net.t ->
   ?plan:Faults.Fault_plan.t ->
   Workload.Instance.t ->
   result
-(** Run to completion under the plan (default: no faults).  With [topo],
-    core degradation tightens the fabric budget and the greedy service
-    respects rack locality.  With [net] (exclusive with [topo]) service
-    runs on a multi-fabric topology: {!Faults.Fault_plan.Fabric_down}
-    boundaries trigger re-plans and the greedy service drains the residual
-    demand over the surviving fabrics.  @raise Failure when [max_slots] is
-    exhausted (a plan that never lifts an outage). *)
+(** Run to completion under the plan (default: no faults) on [net]
+    (default the paper's single switch).  On a two-tier net a degraded
+    core tightens the inter-rack budget and the greedy service keeps
+    rack-local pairs; on a multi-fabric net
+    {!Faults.Fault_plan.Fabric_down} boundaries trigger re-plans and the
+    greedy service drains the residual demand over the surviving
+    fabrics.  @raise Failure when [max_slots] is exhausted (a plan that
+    never lifts an outage). *)

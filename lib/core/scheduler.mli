@@ -91,9 +91,9 @@ val policy :
   Grouping.t ->
   Switchsim.Simulator.t ->
   Switchsim.Simulator.transfer list
-(** The slot policy: partially apply on an instance and grouping, hand the
-    closure to {!Switchsim.Simulator.run}.  The closure is stateful — use
-    one per simulation.  Groups are activated in order once all their
+(** The slot policy: partially apply on an instance and grouping, wrap
+    the closure in a {!Policy.t} for {!Engine.run}.  The closure is
+    stateful — use one per simulation.  Groups are activated in order once all their
     members are released; while the next group is gated by a release date, a
     backfilling policy serves released later coflows greedily and a
     non-backfilling policy idles, matching the sequential discipline of

@@ -27,17 +27,17 @@ let run ?(jobs = 1) (cfg : Config.t) =
       ("10:1 oversubscribed", max 1 (ports / 10));
     ]
   in
-  (* each sweep point is an independent simulation — one engine job each *)
+  (* each sweep point is an independent event-driven simulation on a
+     two-tier net — one engine job each *)
   Engine.run_many ~jobs
     (List.map
        (fun (label, core_capacity) () ->
-         let topo =
-           Switchsim.Fabric.topology ~ports ~rack_size ~core_capacity
+         let net = Switchsim.Net.two_tier ~ports ~rack_size ~core_capacity in
+         let sim =
+           Switchsim.Simulator.create ~net ~ports (Instance.demands inst)
          in
-         let sim = Switchsim.Fabric.create topo (Instance.demands inst) in
          let policy =
-           Policy.stateless ~describe:("fabric " ^ label)
-             (Switchsim.Fabric.greedy_policy topo priority)
+           Policy.of_priority ~describe:("fabric " ^ label) priority
          in
          let r = Engine.run ~sim inst policy in
          { label;

@@ -4,8 +4,9 @@
     The Facebook cluster behind the paper's trace had a 10:1 core-to-rack
     oversubscription; the model (and this repo's other experiments) assume
     a non-blocking core.  This experiment sweeps the core capacity from
-    non-blocking down to 10:1 and measures how much the coflow schedule
-    degrades, using the capacity-aware greedy policy under the [H_rho]
+    non-blocking down to 10:1 on a {!Switchsim.Net.two_tier} net and
+    measures how much the coflow schedule degrades, using the core-aware
+    greedy matching ({!Core.Policy.of_priority}) under the [H_rho]
     priority. *)
 
 type row = {

@@ -126,7 +126,7 @@ let run_fault inst =
   let r = Resilient.run ~config ~net ~plan inst in
   let audit = r.Resilient.audit in
   let audit_ok =
-    match Audit.check ~fabrics:(Net.k net) ~plan audit with
+    match Audit.check ~net ~plan audit with
     | Ok () -> true
     | Error _ -> false
   in
@@ -154,7 +154,7 @@ let run_fault inst =
   if not audit_ok then
     failwith
       (Printf.sprintf "E21 fault leg: audit rejected the log: %s"
-         (match Audit.check ~fabrics:(Net.k net) ~plan audit with
+         (match Audit.check ~net ~plan audit with
          | Error e -> e
          | Ok () -> "?"));
   if not !outage_clean then

@@ -122,6 +122,18 @@ let core_capacity t ~slot =
       | _ -> acc)
     None t.events
 
+let active_at t ~slot =
+  List.filter
+    (function
+      | Port_down { from_; until; _ }
+      | Link_degraded { from_; until; _ }
+      | Core_degraded { from_; until; _ }
+      | Solver_outage { from_; until; _ }
+      | Fabric_down { from_; until; _ } ->
+        active ~from_ ~until slot
+      | Straggler _ | Release_delay _ -> false)
+    t.events
+
 let fabric_down t ~slot f =
   List.exists
     (function

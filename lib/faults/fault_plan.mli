@@ -2,8 +2,8 @@
 
     A plan is a list of timed events describing runtime degradation of the
     [m x m] switch and of the workload information the scheduler relies on:
-    port outages, per-link slowdowns, core-capacity degradation (see
-    {!Switchsim.Fabric}), straggler coflows whose remaining demand inflates
+    port outages, per-link slowdowns, core-capacity degradation,
+    whole-fabric outages, straggler coflows whose remaining demand inflates
     mid-run, delayed releases, and solver outages that knock out tiers of
     the scheduling stack.
 
@@ -25,9 +25,13 @@ type event =
       (** Link [(src, dst)] carries at most one unit every [period >= 2]
           slots (usable only when [slot mod period = 0]). *)
   | Core_degraded of { from_ : int; until : int; capacity : int }
-      (** The fabric core carries at most [capacity] transfers per slot:
-          inter-rack transfers when a {!Switchsim.Fabric.topology} is in
-          play, all transfers otherwise (aggregate switch degradation). *)
+      (** The core carries at most [capacity] {e core-counted} transfers
+          per slot, one budget shared by every fabric of the
+          {!Switchsim.Net}.  A transfer is core-counted iff its fabric has
+          no rack structure or it crosses that fabric's core: on the
+          paper's single switch every transfer counts (aggregate switch
+          degradation), on a two-tier fabric only inter-rack transfers
+          do. *)
   | Straggler of { coflow : int; at : int; factor : int }
       (** At slot [at], the remaining demand of [coflow] is multiplied by
           [factor >= 2] (skipped if the coflow already completed). *)
@@ -72,6 +76,12 @@ val link_usable : t -> slot:int -> src:int -> dst:int -> bool
 
 val core_capacity : t -> slot:int -> int option
 (** Tightest active core cap, [None] when undegraded. *)
+
+val active_at : t -> slot:int -> event list
+(** The interval events ([Port_down], [Link_degraded], [Core_degraded],
+    [Solver_outage], [Fabric_down]) in force at [slot], in plan order —
+    one pass over the plan for a consumer that derives a whole slot's
+    fault state at once. *)
 
 val fabric_down : t -> slot:int -> int -> bool
 (** [fabric_down t ~slot f] iff some event takes fabric [f] down at

@@ -2,7 +2,6 @@ open Switchsim
 
 type t = {
   plan : Fault_plan.t;
-  topo : Fabric.topology option;
   sim : Simulator.t;
   stragglers : (int * int * int) array; (* (at, coflow, factor), by slot *)
   mutable next_straggler : int;
@@ -12,37 +11,25 @@ let sim t = t.sim
 
 let plan t = t.plan
 
-let pair_ok t ~slot ~src ~dst =
-  (not (Fault_plan.port_down t.plan ~slot src))
-  && (not (Fault_plan.port_down t.plan ~slot dst))
-  && Fault_plan.link_usable t.plan ~slot ~src ~dst
-
-let counts_toward_core t tr =
-  match t.topo with Some topo -> Fabric.crosses_core topo tr | None -> true
-
-let effective_capacity t ~slot =
-  let base =
-    match t.topo with
-    | Some topo -> topo.Fabric.core_capacity
-    | None -> Simulator.num_fabrics t.sim * Simulator.ports t.sim
-  in
-  match Fault_plan.core_capacity t.plan ~slot with
-  | Some c -> min base c
-  | None -> base
-
-(* Shared by the simulator's validate hook and by {!Audit.check}: the fault
-   constraints one slot must satisfy, independent of demand state. *)
-let check_slot ?topo ~plan ~ports ~capacity ~slot transfers =
-  let rec scan used = function
-    | [] -> if used > capacity then
-        Error
-          (Printf.sprintf
-             "slot %d: %d transfers exceed degraded capacity %d" slot used
-             capacity)
-      else Ok ()
-    | ({ Simulator.src; dst; fabric; _ } as tr) :: rest ->
+(* Shared by the simulator's validate hook and by {!Audit.feed}: the fault
+   and topology constraints one slot must satisfy, independent of demand
+   state.  The slot's capacity is derived here, in one place: each
+   oversubscribed fabric's own core budget over its inter-rack transfers,
+   and a degraded core's whole-slot budget over the core-counted ones
+   (every transfer on a rack-less fabric, inter-rack transfers on a rack
+   fabric). *)
+let check_slot ~net ~plan ~slot transfers =
+  let ports = Net.ports net and kf = Net.k net in
+  (* every query below is at [slot]: scan only the events in force *)
+  let plan = Fault_plan.make (Fault_plan.active_at plan ~slot) in
+  let crossing = Array.make kf 0 in
+  let rec scan counted = function
+    | [] -> budgets counted 0
+    | { Simulator.src; dst; fabric; _ } :: rest ->
       if src < 0 || src >= ports || dst < 0 || dst >= ports then
         Error (Printf.sprintf "slot %d: port out of range %d->%d" slot src dst)
+      else if fabric < 0 || fabric >= kf then
+        Error (Printf.sprintf "slot %d: fabric %d out of range" slot fabric)
       else if Fault_plan.fabric_down plan ~slot fabric then
         Error (Printf.sprintf "slot %d: fabric %d is down" slot fabric)
       else if Fault_plan.port_down plan ~slot src then
@@ -54,30 +41,37 @@ let check_slot ?topo ~plan ~ports ~capacity ~slot transfers =
           (Printf.sprintf "slot %d: link (%d, %d) degraded (period %d)" slot
              src dst
              (Fault_plan.link_period plan ~slot ~src ~dst))
-      else begin
-        let core =
-          match topo with
-          | Some t -> if Fabric.crosses_core t tr then 1 else 0
-          | None -> 1
-        in
-        scan (used + core) rest
-      end
+      else
+        match (Net.fabric_of net fabric).Net.rack_size with
+        | None -> scan (counted + 1) rest
+        | Some _ ->
+          if Net.crosses_core net ~fabric ~src ~dst then begin
+            crossing.(fabric) <- crossing.(fabric) + 1;
+            scan (counted + 1) rest
+          end
+          else scan counted rest
+  and budgets counted f =
+    if f < kf then
+      match Net.core_capacity net f with
+      | Some cap when crossing.(f) > cap ->
+        Error
+          (Printf.sprintf
+             "slot %d: %s%d inter-rack transfers exceed core capacity %d" slot
+             (if kf = 1 then "" else Printf.sprintf "fabric %d: " f)
+             crossing.(f) cap)
+      | _ -> budgets counted (f + 1)
+    else
+      match Fault_plan.core_capacity plan ~slot with
+      | Some cap when counted > cap ->
+        Error
+          (Printf.sprintf "slot %d: %d transfers exceed degraded capacity %d"
+             slot counted cap)
+      | _ -> Ok ()
   in
   scan 0 transfers
 
-let create ?topo ?net ~plan ~ports demands =
-  (match topo with
-  | Some t when t.Fabric.ports <> ports ->
-    invalid_arg "Injector.create: topology port count mismatch"
-  | _ -> ());
-  let net =
-    match (net, topo) with
-    | Some _, Some _ ->
-      invalid_arg "Injector.create: pass a topology or a net, not both"
-    | Some n, None -> n
-    | None, Some t -> Fabric.to_net t
-    | None, None -> Net.single ~ports
-  in
+let create ?net ~plan ~ports demands =
+  let net = match net with Some n -> n | None -> Net.single ~ports in
   Fault_plan.validate_exn ~fabrics:(Net.k net) ~ports
     ~coflows:(List.length demands) plan;
   (* delayed releases are known at admission time: fold them into the
@@ -91,24 +85,11 @@ let create ?topo ?net ~plan ~ports demands =
   let validate transfers =
     match !sim_cell with
     | None -> Ok ()
-    | Some sim ->
-      let slot = Simulator.now sim in
-      let capacity =
-        let base =
-          match topo with
-          | Some t -> t.Fabric.core_capacity
-          | None -> Net.k net * ports
-        in
-        match Fault_plan.core_capacity plan ~slot with
-        | Some c -> min base c
-        | None -> base
-      in
-      check_slot ?topo ~plan ~ports ~capacity ~slot transfers
+    | Some sim -> check_slot ~net ~plan ~slot:(Simulator.now sim) transfers
   in
   let sim = Simulator.create ~validate ~net ~ports demands in
   sim_cell := Some sim;
   { plan;
-    topo;
     sim;
     stragglers = Array.of_list (Fault_plan.stragglers plan);
     next_straggler = 0;
@@ -137,58 +118,4 @@ let tick t =
           Simulator.add_demand t.sim k ~src:i ~dst:j ((factor - 1) * v))
         !entries
     end
-  done
-
-let greedy_policy t priority sim =
-  let slot = Simulator.now sim in
-  let m = Simulator.ports sim in
-  let kf = Simulator.num_fabrics sim in
-  (* fabric [f]'s port claims live at [f * m + port]; surviving fabrics
-     are swept fastest first, skipping any fabric the plan has down *)
-  let src_used = Array.make (kf * m) false
-  and dst_used = Array.make (kf * m) false in
-  let core_left = ref (effective_capacity t ~slot) in
-  let taken = if kf > 1 then Some (Hashtbl.create 64) else None in
-  let transfers = ref [] in
-  Array.iter
-    (fun f ->
-      if not (Fault_plan.fabric_down t.plan ~slot f) then
-        let off = f * m in
-        Array.iter
-          (fun k ->
-            if Simulator.released sim k && not (Simulator.is_complete sim k)
-            then
-              Simulator.iter_remaining sim k (fun i j _ ->
-                  if
-                    (not (src_used.(off + i) || dst_used.(off + j)))
-                    && pair_ok t ~slot ~src:i ~dst:j
-                    && (match taken with
-                       | Some tbl -> not (Hashtbl.mem tbl (k, i, j))
-                       | None -> true)
-                  then begin
-                    let tr =
-                      { Simulator.src = i; dst = j; coflow = k; fabric = f }
-                    in
-                    let core = counts_toward_core t tr in
-                    if (not core) || !core_left > 0 then begin
-                      src_used.(off + i) <- true;
-                      dst_used.(off + j) <- true;
-                      if core then decr core_left;
-                      (match taken with
-                      | Some tbl -> Hashtbl.replace tbl (k, i, j) ()
-                      | None -> ());
-                      transfers := tr :: !transfers
-                    end
-                  end))
-          priority)
-    (Simulator.net sim |> Net.by_rate);
-  !transfers
-
-let run ?(max_slots = 10_000_000) t ~priority =
-  let budget = ref max_slots in
-  while not (Simulator.all_complete t.sim) do
-    if !budget <= 0 then failwith "Injector.run: slot budget exhausted";
-    decr budget;
-    tick t;
-    Simulator.step t.sim (greedy_policy t priority t.sim)
   done

@@ -1,39 +1,32 @@
 (** Wires a {!Fault_plan} into a {!Switchsim.Simulator}.
 
-    The injector owns three jobs:
+    The injector owns two jobs:
     - {b enforcement}: the simulator is created with a [validate] hook that
-      rejects any slot using a dead port, a degraded link off its duty
-      cycle, or more (core) transfers than the degraded capacity allows —
-      so a policy cannot cheat the faults any more than it can cheat the
-      matching constraints;
+      rejects any slot using a dead port or fabric, a degraded link off its
+      duty cycle, or more core transfers than the slot's capacity allows
+      ({!check_slot}) — so a policy cannot cheat the faults any more than
+      it can cheat the matching constraints;
     - {b the fault clock}: {!tick}, called once per slot before the policy,
       fires due straggler events by growing remaining demand in place
-      (release delays are folded into the release dates at creation);
-    - {b fault-aware service}: {!greedy_policy} is the work-conserving
-      priority matching that only claims currently-usable port pairs.
+      (release delays are folded into the release dates at creation).
 
-    Any existing per-slot policy can run against any plan: pass
-    [sim injector] to it and let the validate hook arbitrate. *)
+    Fault-aware service is [Core.Policy.greedy_matching ~plan], which only
+    claims pairs this injector's hook accepts; any other per-slot policy
+    can run against any plan too, with the hook arbitrating. *)
 
 type t
 
 val create :
-  ?topo:Switchsim.Fabric.topology ->
   ?net:Switchsim.Net.t ->
   plan:Fault_plan.t ->
   ports:int ->
   (int * Matrix.Mat.t) list ->
   t
-(** Build the faulted simulator.  With [topo], core-capacity degradation
-    tightens the fabric's inter-rack budget; without it, a degraded core
-    caps the total transfers of a slot (aggregate switch degradation).
-    With [net] (mutually exclusive with [topo]) the simulator runs on the
-    given multi-fabric topology and the plan may contain
-    {!Fault_plan.Fabric_down} events, which the validate hook enforces and
-    {!greedy_policy} routes around.
-    @raise Invalid_argument if the plan fails {!Fault_plan.validate}, the
-    topology geometry disagrees with [ports], or both [topo] and [net] are
-    given. *)
+(** Build the faulted simulator on [net] (default [Net.single ~ports], the
+    paper's switch).  The plan may contain {!Fault_plan.Fabric_down}
+    events for any fabric of the net.
+    @raise Invalid_argument if the plan fails {!Fault_plan.validate} or
+    the net's port count disagrees with [ports]. *)
 
 val sim : t -> Switchsim.Simulator.t
 
@@ -43,35 +36,15 @@ val tick : t -> unit
 (** Apply every fault event due at the current slot (idempotent per slot;
     call exactly once before querying a policy). *)
 
-val pair_ok : t -> slot:int -> src:int -> dst:int -> bool
-(** Both ports up and the link on its duty cycle. *)
-
-val counts_toward_core : t -> Switchsim.Simulator.transfer -> bool
-
-val effective_capacity : t -> slot:int -> int
-(** Core budget for the slot: topology capacity (or [ports]) tightened by
-    any active {!Fault_plan.Core_degraded} event. *)
-
 val check_slot :
-  ?topo:Switchsim.Fabric.topology ->
+  net:Switchsim.Net.t ->
   plan:Fault_plan.t ->
-  ports:int ->
-  capacity:int ->
   slot:int ->
   Switchsim.Simulator.transfer list ->
   (unit, string) result
-(** The pure fault-feasibility check one slot must pass — shared with
-    {!Audit.check} so the auditor re-derives the constraints rather than
-    trusting the injector. *)
-
-val greedy_policy :
-  t -> int array -> Switchsim.Simulator.t -> Switchsim.Simulator.transfer list
-(** Fault-aware maximal matching in the given coflow priority order; on a
-    multi-fabric net the sweep runs once per surviving fabric, fastest
-    first, never serving the same (coflow, src, dst) entry twice in one
-    slot. *)
-
-val run : ?max_slots:int -> t -> priority:int array -> unit
-(** Tick + greedy-serve until completion.  @raise Failure when [max_slots]
-    (default [10_000_000]) is exhausted — e.g. a hand-written plan that
-    never lifts an outage. *)
+(** The pure fault-and-topology feasibility check one slot must pass:
+    ports and fabrics in range, up, links on their duty cycle, each
+    oversubscribed fabric within its core budget, and the core-counted
+    transfers (see {!Fault_plan.Core_degraded}) within a degraded core's
+    budget.  Shared with {!Audit.check}, so the auditor re-derives the
+    constraints rather than trusting the injector. *)

@@ -483,7 +483,7 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
     let tname = Resilient.tier_name tier in
     Fingerprint.str fp "T";
     Fingerprint.int fp (tier_index tier);
-    let checker = Audit.checker ~fabrics ~plan ~ports () in
+    let checker = Audit.checker ?net:cfg.net ~plan ~ports () in
     let recorded = Array.make n false in
     let record_completion k c_abs =
       recorded.(k) <- true;
@@ -523,7 +523,7 @@ let run ?(plan_seed = 0) ?(batch = true) ?observer cfg src ~coflows:total =
       && Simulator.now sim < cfg.epoch_length
     do
       Injector.tick inj;
-      let transfers = Injector.greedy_policy inj order sim in
+      let transfers = Core.Policy.greedy_matching ~plan sim ~priority:order in
       let start = Simulator.now sim in
       let slots =
         if batchable then

@@ -1,7 +1,15 @@
 (** Multi-fabric network topology: [k] parallel switches over the same
     [ports] ingress/egress ports, each fabric with its own link rate and
-    an optional two-tier oversubscription (the {!Fabric} model, per
-    fabric).
+    an optional two-tier oversubscription.
+
+    The paper models the datacenter as one non-blocking switch, while
+    noting (§4.1) that the actual cluster had a 10:1 core-to-rack
+    oversubscription.  A two-tier fabric adds that constraint: its ports
+    are grouped into racks of [rack_size], a transfer whose endpoints live
+    in different racks crosses the core, and at most [core_capacity] such
+    transfers fit in one slot on that fabric.  The simulator enforces the
+    budget in {!Simulator.step}, so a policy that overshoots the core
+    raises {!Simulator.Invalid_slot} rather than silently cheating.
 
     Chen (arXiv:2312.16413) studies coflow scheduling on exactly this
     model — heterogeneous parallel networks, where every port pair is
@@ -39,8 +47,13 @@ val single : ports:int -> t
 (** One fabric, rate 1, non-blocking: the paper's model. *)
 
 val two_tier : ports:int -> rack_size:int -> core_capacity:int -> t
-(** One rate-1 fabric with the {!Fabric} oversubscription — the E15
-    sweep's topology expressed as a [Net]. *)
+(** One rate-1 fabric with racks of [rack_size] ports and a core of
+    [core_capacity] inter-rack transfers per slot — the E15 sweep's
+    topology.  [core_capacity = ports] is non-blocking (a slot moves at
+    most [ports] units anyway); a 10:1 oversubscription is
+    [core_capacity = ports / 10].
+    @raise Invalid_argument unless [1 <= rack_size <= ports] and
+    [core_capacity >= 0]. *)
 
 val uniform : ports:int -> rates:int list -> t
 (** [k = length rates] non-blocking fabrics with the given rates. *)

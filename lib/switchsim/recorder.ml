@@ -1,15 +1,11 @@
 type t = { ports : int; slots : Simulator.transfer list array }
 
-let record ?(max_slots = 10_000_000) sim ~policy =
+let record ?max_slots sim ~policy =
   let log = ref [] in
-  let budget = ref max_slots in
-  while not (Simulator.all_complete sim) do
-    if !budget <= 0 then failwith "Recorder.record: slot budget exhausted";
-    decr budget;
-    let transfers = policy sim in
-    Simulator.step sim transfers;
-    log := transfers :: !log
-  done;
+  Simulator.run ?max_slots sim ~policy:(fun s ~max_n:_ ->
+      let transfers = policy s in
+      log := transfers :: !log;
+      (transfers, 1));
   { ports = Simulator.ports sim; slots = Array.of_list (List.rev !log) }
 
 let replay ?net t demands =

@@ -126,6 +126,38 @@ let test_time_indexed_at_least_interval () =
   Alcotest.(check bool) "exp >= interval" true
     (exp.Lp_relax.lower_bound >= lp.Lp_relax.lower_bound -. 1e-6)
 
+let test_time_indexed_empty_coflow () =
+  (* the recorded counterexample: a weight-2 1-unit coflow released at 5
+     completes at 6, an empty weight-4 coflow released at 0 completes on
+     arrival — any schedule costs exactly 12, so LP-EXP may not exceed it
+     (charging the empty coflow a slot gave 16) *)
+  let unit = Mat.make 2 in
+  Mat.set unit 0 1 1;
+  let inst =
+    Instance.make ~ports:2
+      [ mk_coflow ~id:0 ~release:5 ~weight:2.0 unit;
+        mk_coflow ~id:1 ~weight:4.0 (Mat.make 2);
+      ]
+  in
+  let lp = Lp_relax.solve_time_indexed inst in
+  Alcotest.(check (float 1e-6)) "bound = the only schedule's TWCT" 12.0
+    lp.Lp_relax.lower_bound;
+  Alcotest.(check (array (float 1e-6))) "cbar" [| 6.0; 0.0 |]
+    lp.Lp_relax.cbar;
+  Alcotest.(check (array int)) "order" [| 1; 0 |] lp.Lp_relax.order;
+  let r =
+    Engine.run inst (Policy.of_priority ~describe:"t" lp.Lp_relax.order)
+  in
+  Alcotest.(check bool) "bound below the schedule" true
+    (r.Engine.twct +. 1e-6 >= lp.Lp_relax.lower_bound);
+  (* an empty coflow released later is charged its release *)
+  let late =
+    Instance.make ~ports:2
+      [ mk_coflow ~id:0 ~release:4 ~weight:3.0 (Mat.make 2) ]
+  in
+  Alcotest.(check (float 1e-6)) "all-empty bound" 12.0
+    (Lp_relax.solve_time_indexed late).Lp_relax.lower_bound
+
 let test_time_indexed_guard () =
   let inst = random_instance ~ports:6 ~coflows:12 1 in
   (try
@@ -1333,6 +1365,8 @@ let () =
           Alcotest.test_case "LP-EXP tighter" `Quick
             test_time_indexed_at_least_interval;
           Alcotest.test_case "LP-EXP size guard" `Quick test_time_indexed_guard;
+          Alcotest.test_case "LP-EXP charges empty coflows w*r" `Quick
+            test_time_indexed_empty_coflow;
           Alcotest.test_case "budgets threaded through variants" `Quick
             test_lp_budget_threaded_through_variants;
           Alcotest.test_case "warm start reuses basis" `Quick

@@ -176,17 +176,32 @@ let prop_greedy_matching_valid_and_maximal =
    order, then ascending src, then the first free dst with demand; one
    sweep per fabric, fastest first; an entry never claimed on two
    fabrics in one slot; once a fabric's core budget is spent only
-   rack-local pairs.  This reference spells that out entry by entry over
-   dense boolean arrays, trusting nothing of the kernel's bitsets. *)
-let reference_greedy ?(init = []) sim ~priority =
+   rack-local pairs; under a fault plan no down port or fabric, a
+   degraded link only on its duty cycle, and a degraded core's one budget
+   over the core-counted transfers.  This reference spells that out entry
+   by entry over dense boolean arrays and the plan's own per-slot queries,
+   trusting nothing of the kernel's bitsets. *)
+let reference_greedy ?(plan = Faults.Fault_plan.empty) ?(init = []) sim
+    ~priority =
   let open Switchsim in
+  let module P = Faults.Fault_plan in
   let m = Simulator.ports sim and net = Simulator.net sim in
   let kf = Simulator.num_fabrics sim in
+  let slot = Simulator.now sim in
   let src_used = Array.make (kf * m) false in
   let dst_used = Array.make (kf * m) false in
   let core_left =
     Array.init kf (fun f ->
         Option.value (Net.core_capacity net f) ~default:max_int)
+  in
+  (* a degraded core: one budget over transfers on rack-less fabrics and
+     inter-rack transfers on rack fabrics *)
+  let plan_left =
+    ref (Option.value (P.core_capacity plan ~slot) ~default:max_int)
+  in
+  let counted f ~src ~dst =
+    (Net.fabric_of net f).Net.rack_size = None
+    || Net.crosses_core net ~fabric:f ~src ~dst
   in
   let taken = Hashtbl.create 16 in
   let occupy { Simulator.src; dst; coflow; fabric = f } =
@@ -194,6 +209,7 @@ let reference_greedy ?(init = []) sim ~priority =
     dst_used.((f * m) + dst) <- true;
     if Net.crosses_core net ~fabric:f ~src ~dst then
       core_left.(f) <- core_left.(f) - 1;
+    if counted f ~src ~dst then decr plan_left;
     Hashtbl.replace taken (coflow, src, dst) ()
   in
   List.iter occupy init;
@@ -202,16 +218,23 @@ let reference_greedy ?(init = []) sim ~priority =
     (fun f ->
       Array.iter
         (fun k ->
-          if Simulator.released sim k && not (Simulator.is_complete sim k)
+          if
+            Simulator.released sim k
+            && (not (Simulator.is_complete sim k))
+            && not (P.fabric_down plan ~slot f)
           then
             for i = 0 to m - 1 do
-              if not src_used.((f * m) + i) then begin
+              if not (src_used.((f * m) + i) || P.port_down plan ~slot i)
+              then begin
                 let admissible j =
                   Simulator.remaining_at sim k i j > 0
                   && (not dst_used.((f * m) + j))
+                  && (not (P.port_down plan ~slot j))
+                  && P.link_usable plan ~slot ~src:i ~dst:j
                   && (not (Hashtbl.mem taken (k, i, j)))
                   && (core_left.(f) > 0
                      || not (Net.crosses_core net ~fabric:f ~src:i ~dst:j))
+                  && (!plan_left > 0 || not (counted f ~src:i ~dst:j))
                 in
                 let j = ref 0 in
                 while !j < m && not (admissible !j) do
@@ -250,6 +273,37 @@ let random_net st ports =
         N.fabric (rate ());
       ]
 
+(* half the cases run without faults; the rest draw a few events of every
+   kind the matcher honours, with windows over the first slots the
+   property steps through *)
+let random_plan st ~ports ~fabrics =
+  let module P = Faults.Fault_plan in
+  if Random.State.bool st then None
+  else
+    let window () =
+      let from_ = Random.State.int st 4 in
+      (from_, from_ + 1 + Random.State.int st 5)
+    in
+    let port () = Random.State.int st ports in
+    let event () =
+      let from_, until = window () in
+      match Random.State.int st 4 with
+      | 0 -> P.Port_down { port = port (); from_; until }
+      | 1 ->
+        P.Link_degraded
+          { src = port ();
+            dst = port ();
+            from_;
+            until;
+            period = 2 + Random.State.int st 3;
+          }
+      | 2 ->
+        P.Core_degraded { from_; until; capacity = Random.State.int st 4 }
+      | _ ->
+        P.Fabric_down { fabric = Random.State.int st fabrics; from_; until }
+    in
+    Some (P.make (List.init (1 + Random.State.int st 5) (fun _ -> event ())))
+
 let pp_transfers ts =
   String.concat " "
     (List.map
@@ -275,6 +329,7 @@ let prop_greedy_matches_reference =
           (Instance.demands inst)
       in
       let net = random_net st ports in
+      let plan = random_plan st ~ports ~fabrics:(Switchsim.Net.k net) in
       let sim = Switchsim.Simulator.create ~net ~ports demands in
       let priority = Array.init coflows (fun k -> k) in
       for k = coflows - 1 downto 1 do
@@ -295,18 +350,19 @@ let prop_greedy_matches_reference =
       do
         incr steps;
         same "fresh"
-          (reference_greedy sim ~priority)
-          (Policy.greedy_matching sim ~priority);
+          (reference_greedy ?plan sim ~priority)
+          (Policy.greedy_matching ?plan sim ~priority);
         (* a partial slot: about half of another order's matching *)
         let init =
           List.filter
             (fun _ -> Random.State.bool st)
-            (reference_greedy sim ~priority:reversed)
+            (reference_greedy ?plan sim ~priority:reversed)
         in
         same "with init"
-          (reference_greedy ~init sim ~priority)
-          (Policy.greedy_matching ~init sim ~priority);
-        Switchsim.Simulator.step sim (Policy.greedy_matching sim ~priority)
+          (reference_greedy ?plan ~init sim ~priority)
+          (Policy.greedy_matching ?plan ~init sim ~priority);
+        Switchsim.Simulator.step sim
+          (Policy.greedy_matching ?plan sim ~priority)
       done;
       true)
 

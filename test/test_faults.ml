@@ -218,27 +218,20 @@ let test_injector_fabric_down () =
   expect_invalid_slot "downed fabric rejected" (fun () ->
       Simulator.step sim [ tf 0 1 0 0 ]);
   (* the survivor carries the slot, and greedy routes onto it *)
-  let ts = Injector.greedy_policy inj [| 0 |] sim in
+  let greedy () = Core.Policy.greedy_matching ~plan sim ~priority:[| 0 |] in
+  let ts = greedy () in
   Alcotest.(check bool) "greedy avoids the dead fabric" true
     (ts <> [] && List.for_all (fun { Simulator.fabric; _ } -> fabric = 1) ts);
   Simulator.step sim ts;
   (* outage lifts at slot 2: the fast fabric serves again *)
   Injector.tick inj;
-  let ts = Injector.greedy_policy inj [| 0 |] sim in
+  let ts = greedy () in
   Simulator.step sim ts;
   Injector.tick inj;
-  let ts = Injector.greedy_policy inj [| 0 |] sim in
+  let ts = greedy () in
   Alcotest.(check bool) "fast fabric back in rotation" true
     (List.exists (fun { Simulator.fabric; _ } -> fabric = 0) ts);
   Simulator.step sim ts
-
-let test_injector_net_topo_exclusive () =
-  let net = Net.uniform ~ports:2 ~rates:[ 1 ] in
-  let topo = Fabric.topology ~ports:2 ~rack_size:1 ~core_capacity:1 in
-  expect_invalid_arg "both net and topo" (fun () ->
-      ignore
-        (Injector.create ~net ~topo ~plan:Fault_plan.empty ~ports:2
-           [ (0, fig1 ()) ]))
 
 let test_audit_fabric_roundtrip () =
   (* the 4th transfer token appears only for nonzero fabrics, so
@@ -260,7 +253,8 @@ let test_audit_fabric_constraints () =
   let bad =
     Audit.make ~ports:2 [ { Audit.tier = "rho"; transfers = [ tf 0 1 0 0 ] } ]
   in
-  (match Audit.check ~fabrics:2 ~plan bad with
+  let net = Net.uniform ~ports:2 ~rates:[ 1; 1 ] in
+  (match Audit.check ~net ~plan bad with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "downed-fabric transfer certified");
   (* the same pair on two fabrics in one slot is double service *)
@@ -268,7 +262,7 @@ let test_audit_fabric_constraints () =
     Audit.make ~ports:2
       [ { Audit.tier = "rho"; transfers = [ tf 0 1 0 0; tf 0 1 0 1 ] } ]
   in
-  (match Audit.check ~fabrics:2 ~plan:Fault_plan.empty dup with
+  (match Audit.check ~net ~plan:Fault_plan.empty dup with
   | Error m ->
     Alcotest.(check bool) "names the double service" true
       (Astring.String.is_infix ~affix:"two fabrics" m)
@@ -277,7 +271,7 @@ let test_audit_fabric_constraints () =
   let oob =
     Audit.make ~ports:2 [ { Audit.tier = "rho"; transfers = [ tf 0 1 0 5 ] } ]
   in
-  (match Audit.check ~fabrics:2 ~plan:Fault_plan.empty oob with
+  (match Audit.check ~net ~plan:Fault_plan.empty oob with
   | Error m ->
     Alcotest.(check bool) "names the range" true
       (Astring.String.is_infix ~affix:"out of range" m)
@@ -287,7 +281,7 @@ let test_audit_fabric_constraints () =
     Audit.make ~ports:2
       [ { Audit.tier = "rho"; transfers = [ tf 0 1 0 0; tf 1 0 0 1 ] } ]
   in
-  match Audit.check ~fabrics:2 ~plan:Fault_plan.empty ok with
+  match Audit.check ~net ~plan:Fault_plan.empty ok with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("clean two-fabric slot rejected: " ^ m)
 
@@ -308,7 +302,7 @@ let test_resilient_fabric_down_replans () =
     (Array.for_all (fun c -> c >= 0) r.Core.Resilient.completion);
   Alcotest.(check bool) "replanned at both boundaries" true
     (r.Core.Resilient.replans >= 2);
-  (match Audit.check ~fabrics:2 ~plan r.Core.Resilient.audit with
+  (match Audit.check ~net ~plan r.Core.Resilient.audit with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("audit rejected: " ^ m));
   (* nothing rode fabric 0 inside the window *)
@@ -330,14 +324,22 @@ let test_injector_dead_port () =
   let inj = Injector.create ~plan ~ports:2 [ (0, fig1 ()) ] in
   let sim = Injector.sim inj in
   Injector.tick inj;
+  (* the greedy matching never claims the dead port *)
+  Alcotest.(check (list (triple int int int))) "greedy keeps off port 0"
+    [ (1, 1, 0) ]
+    (List.map
+       (fun { Simulator.src; dst; coflow; _ } -> (src, dst, coflow))
+       (Core.Policy.greedy_matching ~plan sim ~priority:[| 0 |]));
   expect_invalid_slot "src on dead port" (fun () ->
       Simulator.step sim [ t 0 1 0 ]);
   expect_invalid_slot "dst on dead port" (fun () ->
       Simulator.step sim [ t 1 0 0 ]);
   Simulator.step sim [ t 1 1 0 ];
   check_int "healthy pair served" 5 (Simulator.remaining_total sim 0);
-  Alcotest.(check bool) "pair_ok reflects outage" false
-    (Injector.pair_ok inj ~slot:1 ~src:0 ~dst:1);
+  Alcotest.(check bool) "check_slot reflects outage" true
+    (Result.is_error
+       (Injector.check_slot ~net:(Simulator.net sim) ~plan ~slot:1
+          [ t 0 1 0 ]));
   (* outage lifts at slot 2 *)
   Simulator.step sim [];
   Injector.tick inj;
@@ -371,31 +373,41 @@ let test_injector_aggregate_core_cap () =
   let inj = Injector.create ~plan ~ports:2 [ (0, fig1 ()) ] in
   let sim = Injector.sim inj in
   Injector.tick inj;
-  check_int "capacity tightened" 1 (Injector.effective_capacity inj ~slot:0);
+  check_int "greedy takes one transfer" 1
+    (List.length (Core.Policy.greedy_matching ~plan sim ~priority:[| 0 |]));
   expect_invalid_slot "two transfers over cap" (fun () ->
       Simulator.step sim [ t 0 0 0; t 1 1 0 ]);
   Simulator.step sim [ t 0 0 0 ];
   check_int "single transfer fine" 5 (Simulator.remaining_total sim 0)
 
 let test_injector_fabric_core_cap () =
-  (* topology core capacity 2, plan degrades it to 1: two inter-rack
+  (* two-tier core capacity 2, plan degrades it to 1: two inter-rack
      transfers must be rejected, intra-rack traffic is unaffected *)
-  let topo = Fabric.topology ~ports:4 ~rack_size:2 ~core_capacity:2 in
+  let net = Net.two_tier ~ports:4 ~rack_size:2 ~core_capacity:2 in
   let plan =
     Fault_plan.make
       [ Fault_plan.Core_degraded { from_ = 0; until = 5; capacity = 1 } ]
   in
   let d = Mat.make 4 in
+  Mat.set d 0 1 1;
   Mat.set d 0 2 1;
   Mat.set d 1 3 1;
   Mat.set d 2 3 2;
-  let inj = Injector.create ~topo ~plan ~ports:4 [ (0, d) ] in
+  let inj = Injector.create ~net ~plan ~ports:4 [ (0, d) ] in
   let sim = Injector.sim inj in
   Injector.tick inj;
+  (* only inter-rack transfers count: the rack-local (0, 1) scanned first
+     leaves the degraded budget to the crossing (1, 3) *)
+  Alcotest.(check (list (pair int int))) "greedy: local + one crossing"
+    [ (0, 1); (1, 3) ]
+    (List.sort compare
+       (List.map
+          (fun { Simulator.src; dst; _ } -> (src, dst))
+          (Core.Policy.greedy_matching ~plan sim ~priority:[| 0 |])));
   expect_invalid_slot "inter-rack over degraded cap" (fun () ->
       Simulator.step sim [ t 0 2 0; t 1 3 0 ]);
   Simulator.step sim [ t 0 2 0; t 2 3 0 ];
-  check_int "inter + intra ok" 2 (Simulator.remaining_total sim 0)
+  check_int "inter + intra ok" 3 (Simulator.remaining_total sim 0)
 
 let test_injector_straggler_tick () =
   let plan =
@@ -427,27 +439,6 @@ let test_injector_rejects_bad_plan () =
   in
   expect_invalid_arg "plan outside geometry" (fun () ->
       ignore (Injector.create ~plan ~ports:2 [ (0, fig1 ()) ]))
-
-let test_injector_run_completes () =
-  let plan = sample_plan () in
-  let inj = Injector.create ~plan ~ports:2 [ (0, fig1 ()); (0, fig1 ()) ] in
-  Injector.run inj ~priority:[| 0; 1 |];
-  Alcotest.(check bool) "all complete" true
-    (Simulator.all_complete (Injector.sim inj))
-
-let test_injector_run_budget () =
-  (* every port dead for a long stretch: the greedy policy can only idle *)
-  let plan =
-    Fault_plan.make
-      [ Fault_plan.Port_down { port = 0; from_ = 0; until = 1000 };
-        Fault_plan.Port_down { port = 1; from_ = 0; until = 1000 };
-      ]
-  in
-  let inj = Injector.create ~plan ~ports:2 [ (0, fig1 ()) ] in
-  (try
-     Injector.run ~max_slots:5 inj ~priority:[| 0 |];
-     Alcotest.fail "expected Failure"
-   with Failure _ -> ())
 
 (* ---------- audit ---------- *)
 
@@ -585,6 +576,8 @@ let test_audit_checker_validation () =
         Alcotest.fail (label ^ ": expected Invalid_argument")
       with Invalid_argument _ -> ())
     [ ("bad ports", fun () -> Audit.checker ~plan ~ports:0 ());
+      ( "net port mismatch",
+        fun () -> Audit.checker ~net:(Net.single ~ports:3) ~plan ~ports:2 () );
       ( "negative start",
         fun () -> Audit.checker ~start_slot:(-1) ~plan ~ports:2 () );
     ]
@@ -600,7 +593,28 @@ let test_audit_core_cap_violation () =
   in
   (match Audit.check ~plan a with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "core-cap violation not caught")
+  | Ok () -> Alcotest.fail "core-cap violation not caught");
+  (* on a two-tier net only inter-rack transfers count: the net's own
+     budget (1) and the degraded one are both re-derived by the audit *)
+  let net = Net.two_tier ~ports:4 ~rack_size:2 ~core_capacity:1 in
+  let slot transfers =
+    Audit.make ~ports:4 [ { Audit.tier = "lp"; transfers } ]
+  in
+  (match Audit.check ~net ~plan:Fault_plan.empty (slot [ t 0 2 0; t 1 3 0 ])
+   with
+  | Error m ->
+    Alcotest.(check bool) "names the core budget" true
+      (Astring.String.is_infix ~affix:"core capacity 1" m)
+  | Ok () -> Alcotest.fail "two-tier core budget not enforced");
+  (match Audit.check ~net ~plan (slot [ t 0 2 0; t 1 0 0; t 3 3 0 ]) with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("rack-local pairs counted: " ^ m));
+  let net = Net.two_tier ~ports:4 ~rack_size:2 ~core_capacity:4 in
+  match Audit.check ~net ~plan (slot [ t 0 2 0; t 2 0 0 ]) with
+  | Error m ->
+    Alcotest.(check bool) "names the degraded budget" true
+      (Astring.String.is_infix ~affix:"degraded capacity 1" m)
+  | Ok () -> Alcotest.fail "degraded core not enforced on two-tier"
 
 (* ---------- resilient scheduling ---------- *)
 
@@ -744,6 +758,47 @@ let test_resilient_rho_primary_skips_lp () =
   check_int "all slots rho" r.Core.Resilient.slots
     (List.assoc Core.Resilient.Rho r.Core.Resilient.tier_slots)
 
+let test_resilient_sample_plan_completes () =
+  (* every fault kind at once on the 2-port switch, served by the
+     fault-aware greedy matching *)
+  let fig1_coflow id =
+    { Workload.Instance.id; release = 0; weight = 1.0; demand = fig1 () }
+  in
+  let inst =
+    Workload.Instance.make ~ports:2 [ fig1_coflow 0; fig1_coflow 1 ]
+  in
+  let plan = sample_plan () in
+  let r =
+    Core.Resilient.run ~config:(det_config Core.Resilient.Rho) ~plan inst
+  in
+  Alcotest.(check bool) "all complete" true
+    (Array.for_all (fun c -> c > 0) r.Core.Resilient.completion);
+  match Audit.check ~plan r.Core.Resilient.audit with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("audit failed: " ^ m)
+
+let test_resilient_dead_switch_budget () =
+  (* every port dead for a long stretch: the greedy matching can only
+     idle until the slot budget runs out *)
+  let plan =
+    Fault_plan.make
+      [ Fault_plan.Port_down { port = 0; from_ = 0; until = 1000 };
+        Fault_plan.Port_down { port = 1; from_ = 0; until = 1000 };
+      ]
+  in
+  let inst =
+    Workload.Instance.make ~ports:2
+      [ { Workload.Instance.id = 0; release = 0; weight = 1.0;
+          demand = fig1 () } ]
+  in
+  let config =
+    { (det_config Core.Resilient.Rho) with Core.Resilient.max_slots = 5 }
+  in
+  (try
+     ignore (Core.Resilient.run ~config ~plan inst);
+     Alcotest.fail "expected Failure"
+   with Failure _ -> ())
+
 let test_resilient_max_slots () =
   let plan =
     Fault_plan.make
@@ -806,12 +861,7 @@ let () =
             test_injector_release_delay;
           Alcotest.test_case "bad plan rejected" `Quick
             test_injector_rejects_bad_plan;
-          Alcotest.test_case "run completes" `Quick
-            test_injector_run_completes;
-          Alcotest.test_case "run budget" `Quick test_injector_run_budget;
           Alcotest.test_case "fabric down" `Quick test_injector_fabric_down;
-          Alcotest.test_case "net/topo exclusive" `Quick
-            test_injector_net_topo_exclusive;
         ] );
       ( "audit",
         [ Alcotest.test_case "roundtrip" `Quick test_audit_roundtrip;
@@ -849,6 +899,10 @@ let () =
           Alcotest.test_case "rho primary" `Quick
             test_resilient_rho_primary_skips_lp;
           Alcotest.test_case "max_slots" `Quick test_resilient_max_slots;
+          Alcotest.test_case "sample plan completes" `Quick
+            test_resilient_sample_plan_completes;
+          Alcotest.test_case "dead switch exhausts budget" `Quick
+            test_resilient_dead_switch_budget;
           Alcotest.test_case "fabric down replans" `Quick
             test_resilient_fabric_down_replans;
         ] );
